@@ -74,6 +74,7 @@ from .tensor import (
     partial_trace,
     partial_transpose,
     reduced_of_pure,
+    schmidt_spectrum,
     trace_power,
 )
 

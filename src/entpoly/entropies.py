@@ -1,6 +1,8 @@
 """Parameterized entropy functionals of a density matrix.
 
-Implemented families, all evaluated from the (clipped) spectrum:
+Implemented families, all evaluated from the validated, clipped spectrum of
+:func:`density_spectrum`, so every entry point and every order rejects the
+same inputs:
 
 * ``f_q``:       1 - Tr(rho^q) for q >= 2
 * ``unified``:   [(Tr rho^r)^s - 1] / ((1-r) s) for r, s >= 0
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor import hermitian_eigenvalues, trace_power
+from .tensor import hermitian_eigenvalues
 
 LIMIT_TOL = 1e-9  # width of the parameter band that triggers limit dispatch
 PSD_TOL = 1e-9    # eigenvalues below -PSD_TOL mean the input is not a density
@@ -106,67 +108,24 @@ def unified_from_spectrum(w, r: float, s: float) -> float:
     return (t**s - 1.0) / ((1.0 - r) * s)
 
 
-def _integer_power_fast(rho, r: float) -> float | None:
-    # Tr(rho^r) via matrix multiplication for small integer exponents.
-    if float(r).is_integer() and 2 <= r <= 8:
-        if abs(float(np.trace(np.asarray(rho)).real) - 1.0) > 1e-9:
-            raise InvalidInputError("matrix does not have unit trace")
-        return trace_power(rho, int(r))
-    return None
-
-
 def f_q(rho, q: float) -> float:
-    """1 - Tr(rho^q), zero on pure states, approaching 1 on maximally mixed ones.
-
-    Integer q up to 8 avoids the eigendecomposition entirely (the input is
-    then assumed positive semidefinite, matching ``trace_power``).
-    """
-    if q < 2:
-        raise InvalidInputError(f"f_q requires q >= 2, got {q}")
-    t = _integer_power_fast(rho, q)
-    if t is not None:
-        return 1.0 - t
+    """1 - Tr(rho^q), zero on pure states, approaching 1 on maximally mixed ones."""
     return fq_from_spectrum(density_spectrum(rho), q)
 
 
 def unified_entropy(rho, r: float, s: float) -> float:
     """Two-parameter entropy interpolating Renyi (s->0) and Tsallis (s->1)."""
-    if r < 0 or s < 0:
-        raise InvalidInputError(f"unified entropy requires r, s >= 0, got r={r}, s={s}")
-    if abs(r - 1.0) <= LIMIT_TOL:
-        return von_neumann(rho)
-    if abs(s) <= LIMIT_TOL:
-        return renyi(rho, r)
-    t = _integer_power_fast(rho, r)
-    if t is None:
-        t = _power_sum(density_spectrum(rho), r)
-    return (t**s - 1.0) / ((1.0 - r) * s)
+    return unified_from_spectrum(density_spectrum(rho), r, s)
 
 
 def renyi(rho, r: float) -> float:
     """Renyi entropy in bits; r within 1e-9 of 1 evaluates von Neumann."""
-    if r < 0:
-        raise InvalidInputError(f"Renyi entropy requires r >= 0, got {r}")
-    if abs(r - 1.0) <= LIMIT_TOL:
-        return von_neumann(rho)
-    t = _integer_power_fast(rho, r)
-    if t is not None:
-        if t <= 0.0:  # only reachable for non-PSD input on the fast path
-            raise InvalidInputError("matrix is not positive semidefinite")
-        return math.log2(t) / (1.0 - r)
     return renyi_from_spectrum(density_spectrum(rho), r)
 
 
 def tsallis(rho, r: float) -> float:
     """Tsallis entropy; r within 1e-9 of 1 evaluates von Neumann."""
-    if r <= 0:
-        raise InvalidInputError(f"Tsallis entropy requires r > 0, got {r}")
-    if abs(r - 1.0) <= LIMIT_TOL:
-        return von_neumann(rho)
-    t = _integer_power_fast(rho, r)
-    if t is None:
-        t = _power_sum(density_spectrum(rho), r)
-    return (t - 1.0) / (1.0 - r)
+    return tsallis_from_spectrum(density_spectrum(rho), r)
 
 
 def von_neumann(rho) -> float:

@@ -18,7 +18,6 @@ from .measures import (
     cut_spectrum,
     marginal_vector,
     marginal_vector_from_spectra,
-    measure_pure,
     site_spectra,
     value_from_spectrum,
 )
@@ -177,10 +176,7 @@ def tau_hat_indicator(psi: MultiQuditState, cuts, spec: MeasureSpec) -> Indicato
     best_val, best_idx = None, -1
     for idx, cut in enumerate(cuts):
         cut.validate_for(psi.num_sites)
-        if spec.kind == "neg":
-            lhs = measure_pure(psi, cut, spec)
-        else:
-            lhs = value_from_spectrum(spec, cut_spectrum(psi, cut))
+        lhs = value_from_spectrum(spec, cut_spectrum(psi, cut))
         slack = float(sum(mv[j] for j in cut.side_a)) - lhs
         if best_val is None or slack < best_val:
             best_val, best_idx = slack, idx

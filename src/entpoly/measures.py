@@ -1,9 +1,11 @@
 """Bipartite entanglement measures on pure multi-qudit states and networks.
 
-Entropy-based measures of a pure state across a cut are the chosen entropy
-of the reduced state on one side; concurrence and negativity use their
-standard qudit generalizations sqrt(2 (1 - Tr rho_A^2)) and
-(trace_norm(partial transpose) - 1) / 2.
+Every measure of a pure state across a cut is a function of the squared
+Schmidt coefficients w (the reduced spectrum of either side): the entropy-
+based measures evaluate an entropy of w, concurrence is the qudit
+generalization sqrt(2 (1 - sum w^2)), and negativity,
+(trace_norm(partial transpose) - 1) / 2, equals ((sum sqrt(w))^2 - 1) / 2
+(Vidal and Werner, PRA 65, 032314).
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ import numpy as np
 from .entropies import EntropyParams, density_spectrum
 from .errors import InvalidInputError, UnsupportedMeasureError
 from .states import MultiQuditState, NetworkState
-from .tensor import (
-    as_sites,
-    hermitian_eigenvalues,
-    partial_transpose,
-    reduced_of_pure,
-)
+from .tensor import as_sites, schmidt_spectrum
 
 MEASURE_TOKENS = ("qconc", "unified", "renyi", "tsallis", "eof", "conc", "neg")
 ENTROPY_BASED = ("qconc", "unified", "renyi", "tsallis", "eof")
@@ -174,9 +171,9 @@ class MeasureSpec:
 
 
 def cut_spectrum(psi: MultiQuditState, cut: Bipartition) -> np.ndarray:
-    """Clipped nonzero-equivalent spectrum of the reduced state across a cut.
+    """Ascending spectrum of the reduced state across a cut.
 
-    Computed on the smaller side of the cut: for a pure state both reduced
+    Taken on the smaller side of the cut: for a pure state both reduced
     states share their nonzero spectrum, and every measure here depends only
     on that part.
     """
@@ -188,12 +185,8 @@ def cut_spectrum(psi: MultiQuditState, cut: Bipartition) -> np.ndarray:
 
 
 def sites_spectrum(psi: MultiQuditState, sites) -> np.ndarray:
-    """Clipped ascending spectrum of the reduced state on the given sites."""
-    rho = reduced_of_pure(psi.amplitudes, psi.dims, sites)
-    vals = hermitian_eigenvalues(rho)
-    if float(vals[0]) < -1e-9:
-        raise InvalidInputError("reduced state is unexpectedly not PSD")
-    return np.clip(vals, 0.0, None)
+    """Ascending spectrum of the reduced state on the given sites (one SVD)."""
+    return schmidt_spectrum(psi.amplitudes, psi.dims, sites)
 
 
 def site_spectra(psi: MultiQuditState) -> list[np.ndarray]:
@@ -205,36 +198,26 @@ def site_spectra(psi: MultiQuditState) -> list[np.ndarray]:
 
 
 def value_from_spectrum(spec: MeasureSpec, w: np.ndarray) -> float:
-    """Evaluate a spectrum-determined measure; rejects negativity."""
+    """Evaluate any of the seven measures from a pure state's nonnegative cut spectrum w.
+
+    Negativity is ((sum sqrt(w))^2 - 1) / 2: the trace norm of a pure state's
+    partial transpose is the squared sum of its Schmidt coefficients, so no
+    density or partial transpose is formed.
+    """
+    if spec.is_entropy_based:
+        return spec.entropy_params().of_spectrum(w)
     if spec.kind == "conc":
         return math.sqrt(max(2.0 * (1.0 - float(np.sum(np.square(w)))), 0.0))
-    if spec.kind == "neg":
-        raise UnsupportedMeasureError(
-            "negativity is defined through the partial transpose, not the reduced spectrum")
-    return spec.entropy_params().of_spectrum(w)
-
-
-def _negativity(psi: MultiQuditState, cut: Bipartition) -> float:
-    rho = psi.density()
-    pt = partial_transpose(rho, psi.dims, cut.side_b)
-    vals = hermitian_eigenvalues(pt)
-    return 0.5 * (float(np.sum(np.abs(vals))) - 1.0)
+    return 0.5 * (float(np.sum(np.sqrt(w))) ** 2 - 1.0)
 
 
 def measure_pure(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec) -> float:
     """Entanglement of a pure state across a cut, per the given measure."""
-    cut.validate_for(psi.num_sites)
-    if spec.kind == "neg":
-        return _negativity(psi, cut)
     return value_from_spectrum(spec, cut_spectrum(psi, cut))
 
 
 def marginal_vector(psi: MultiQuditState, spec: MeasureSpec) -> np.ndarray:
     """One-to-group marginal entanglement for every site j (cut j vs rest)."""
-    n = psi.num_sites
-    if spec.kind == "neg":
-        return np.array([
-            _negativity(psi, Bipartition.one_vs_rest(j, n)) for j in range(n)])
     return marginal_vector_from_spectra(site_spectra(psi), spec)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -117,16 +118,18 @@ def fuzz_polygon(cfg: SearchConfig, workers: int = 1) -> ViolationReport:
 
     Per trial t the state is ``haar_random(cfg.dims, mix64(cfg.seed, t))``
     and every one-to-group margin is accumulated.  The report is identical
-    for any ``workers`` count.
+    for any ``workers`` count.  At most ``os.cpu_count()`` processes run,
+    and never more than there are chunks of trials.
     """
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     chunk = math.ceil(cfg.trials / workers)
     bounds = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
-    if workers == 1 or len(bounds) == 1:
+    if len(bounds) == 1:
         parts = [_run_chunk(cfg, lo, hi) for lo, hi in bounds]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(pool.map(_run_chunk, *zip(*[(cfg,) + b for b in bounds])))
     violations = sum(p[0] for p in parts)
     min_margin = min(p[1] for p in parts)

@@ -150,6 +150,9 @@ def haar_random(dims, seed: int) -> MultiQuditState:
 # -- network composition ------------------------------------------------------
 
 RESOURCE_KINDS = ("epr", "ghz", "ghz_diag")
+# Largest total dimension composed densely: a 2^12 x 2^12 complex density is
+# 256 MiB, and composing it holds a few such arrays at once.
+MAX_NETWORK_DIM = 2**12
 
 
 @dataclass(frozen=True)
@@ -259,22 +262,24 @@ def compose_network(spec: NetworkSpec) -> NetworkState:
     Particles are physically reordered so each party's subsystems are
     contiguous (party 0 first); ``party_dims`` records the resulting
     composite dimension per party.  Every party must hold at least one
-    particle.
+    particle, and the total dimension may not exceed ``MAX_NETWORK_DIM``.
     """
-    owners: list[int] = []
-    dims: list[int] = []
-    rho = np.ones((1, 1), dtype=np.complex128)
-    for res in spec.resources:
-        owners.extend(res.parties)
-        dims.extend(res.site_dims())
-        rho = kron(rho, res.density())
+    owners = [p for res in spec.resources for p in res.parties]
+    dims = [d for res in spec.resources for d in res.site_dims()]
     for p in range(spec.parties):
         if p not in owners:
             raise InvalidInputError(f"party {p} holds no particle")
+    d = math.prod(dims)
+    if d > MAX_NETWORK_DIM:
+        raise InvalidInputError(
+            f"network total dimension {d} exceeds the dense limit {MAX_NETWORK_DIM}: "
+            f"its density alone would take {16 * d * d / 2**30:.3g} GiB")
+    rho = np.ones((1, 1), dtype=np.complex128)
+    for res in spec.resources:
+        rho = kron(rho, res.density())
     n = len(dims)
     # stable sort: per-party site order follows resource declaration order
     perm = sorted(range(n), key=lambda k: owners[k])
-    d = rho.shape[0]
     rho = rho.reshape(tuple(dims) * 2)
     rho = rho.transpose(tuple(perm) + tuple(n + k for k in perm)).reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 HERMITIAN_TOL = 1e-10
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 
 def as_dims(dims) -> tuple[int, ...]:
@@ -84,12 +82,8 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return np.einsum("atbt->ab", t.reshape(dk, dt, dk, dt))
 
 
-def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
-    """Reduced density matrix of a pure state on the ``keep`` sites.
-
-    Equivalent to ``partial_trace(outer(psi), dims, keep)`` but never forms
-    the full projector; cost is quadratic in the kept dimension only.
-    """
+def _cut_matrix(amplitudes, dims, keep) -> np.ndarray:
+    # Validated amplitudes reshaped to (kept dimension, traced dimension).
     dims = as_dims(dims)
     n = len(dims)
     keep = as_sites(keep, n)
@@ -104,8 +98,33 @@ def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
     traced = tuple(j for j in range(n) if j not in keep)
     dk = math.prod(dims[j] for j in keep) if keep else 1
     dt = math.prod(dims[j] for j in traced) if traced else 1
-    m = v.reshape(dims).transpose(keep + traced).reshape(dk, dt)
+    return v.reshape(dims).transpose(keep + traced).reshape(dk, dt)
+
+
+def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
+    """Reduced density matrix of a pure state on the ``keep`` sites.
+
+    Equivalent to ``partial_trace(outer(psi), dims, keep)`` but never forms
+    the full projector; cost is quadratic in the kept dimension only.
+    """
+    m = _cut_matrix(amplitudes, dims, keep)
     return m @ m.conj().T
+
+
+def schmidt_spectrum(amplitudes, dims, keep) -> np.ndarray:
+    """Ascending spectrum of the reduced state of a pure state on ``keep``.
+
+    The squared singular values of the amplitudes reshaped across the cut
+    (the squared Schmidt coefficients), zero-padded to the kept dimension.
+    Same validation as :func:`reduced_of_pure`, but no density is formed, and
+    small eigenvalues keep their accuracy (a singular value of 1e-10 squares
+    to 1e-20, where an eigensolver of the reduced state returns roundoff).
+    """
+    m = _cut_matrix(amplitudes, dims, keep)
+    sv = np.linalg.svd(m, compute_uv=False)
+    w = np.zeros(m.shape[0])
+    w[m.shape[0] - sv.size:] = np.square(sv[::-1])
+    return w
 
 
 def partial_transpose(rho, dims, subset) -> np.ndarray:
@@ -135,73 +154,18 @@ def trace_power(rho, q) -> float:
     return float(np.trace(np.linalg.matrix_power(a, int(q))).real)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # Frobenius norm of the off-diagonal part, computed directly: the
-    # difference-of-squares shortcut cancels catastrophically near convergence.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(a: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps row pairs until the off-diagonal Frobenius norm drops below
-    ``JACOBI_OFF_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps have run.
-    """
-    n = a.shape[0]
-    a = 0.5 * (a + a.conj().T)  # remove roundoff asymmetry once up front
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
-    # elements below skip_tol cannot push the off-norm above the target
-    skip_tol = JACOBI_OFF_TOL / (n * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_norm(a) < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a.item(p, q)
-                ab = abs(b)
-                if ab <= skip_tol:
-                    continue
-                u = b / ab
-                theta = 0.5 * math.atan2(2.0 * ab, a.item(p, p).real - a.item(q, q).real)
-                c, s = math.cos(theta), math.sin(theta)
-                su, suc = s * u, s * u.conjugate()
-                col_p = a[:, p].copy()
-                col_q = a[:, q]
-                a[:, p] = c * col_p + suc * col_q
-                a[:, q] = -su * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :]
-                a[p, :] = c * row_p + su * row_q
-                a[q, :] = -suc * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q]
-                    v[:, p] = c * vp + suc * vq
-                    v[:, q] = -su * vp + c * vq
-    vals = a.diagonal().real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    if v is not None:
-        v = v[:, order]
-    return vals, v
+def _hermitian(h) -> np.ndarray:
+    a = _square(h)
+    if not is_hermitian(a):
+        raise InvalidInputError("matrix is not Hermitian within tolerance")
+    return a
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix (Jacobi iteration)."""
-    a = _square(h)
-    if not is_hermitian(a):
-        raise InvalidInputError("matrix is not Hermitian within tolerance")
-    vals, _ = _jacobi(a.copy(), want_vectors=False)
-    return vals
+    """Ascending real eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
+    return np.linalg.eigvalsh(_hermitian(h))
 
 
 def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and matching eigenvector columns."""
-    a = _square(h)
-    if not is_hermitian(a):
-        raise InvalidInputError("matrix is not Hermitian within tolerance")
-    return _jacobi(a.copy(), want_vectors=True)
+    """Eigenvalues (ascending) and matching eigenvector columns (LAPACK ``eigh``)."""
+    return np.linalg.eigh(_hermitian(h))

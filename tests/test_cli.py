@@ -182,6 +182,13 @@ def test_reproduce_table1_deterministic(capsys):
     assert any("?" in l for l in lines)
 
 
+def test_reproduce_oversized_network_exits_2(capsys):
+    code, out, err = run(capsys, "reproduce", "example4", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "dense limit" in err
+
+
 def test_reproduce_unknown_target(capsys):
     code, _, err = run(capsys, "reproduce", "bogus")
     assert code == 1

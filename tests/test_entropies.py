@@ -62,6 +62,19 @@ def test_fq_validation():
         f_q(np.diag([1.5, -0.5]), 2.5)  # not PSD (eigenvalue path)
 
 
+def test_validation_does_not_depend_on_the_order():
+    # integer and fractional orders must reject exactly the same matrices
+    not_psd = np.diag([1.5, -0.5])
+    not_hermitian = np.array([[0.5, 0.4], [0.1, 0.5]])
+    trace_two = np.eye(2)
+    for order in (2, 3, 2.5, 8, 9.5):
+        for fn in (lambda m: f_q(m, order), lambda m: renyi(m, order),
+                   lambda m: tsallis(m, order), lambda m: unified_entropy(m, order, 0.5)):
+            for bad in (not_psd, not_hermitian, trace_two):
+                with pytest.raises(InvalidInputError):
+                    fn(bad)
+
+
 def test_unified_special_values():
     proj = np.diag([1.0, 0.0])
     for r, s in ((2, 1), (0.5, 2), (3, 0.3)):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entpoly import search
 from entpoly.errors import InvalidInputError
 from entpoly.measures import MeasureSpec
 from entpoly.search import (
@@ -137,6 +138,40 @@ def test_fuzz_polygon_ten_thousand_trials_no_violations():
         report = fuzz_polygon(cfg)
         assert report.violations == 0
         assert report.min_margin >= -1e-9
+
+
+@pytest.mark.parametrize("workers, cpus, trials, pool_size", [
+    (64, 4, 100, 4),    # clamped to the CPU count
+    (3, 8, 100, 3),     # the requested count fits
+    (6, 8, 10, 5),      # ten trials in chunks of two make five chunks
+    (64, None, 100, None),  # unknown CPU count: one process, no pool
+    (5, 8, 1, None),    # a single trial is a single chunk
+])
+def test_fuzz_polygon_clamps_workers(monkeypatch, workers, cpus, trials, pool_size):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    cfg = SearchConfig(dims=(2, 2, 2), spec=MeasureSpec.eof(), trials=trials, seed=9)
+    report = fuzz_polygon(cfg, workers=workers)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    monkeypatch.undo()
+    assert report_to_json(report) == report_to_json(fuzz_polygon(cfg, workers=1))
 
 
 def test_fuzz_polygon_rejects_bad_workers():

@@ -6,6 +6,7 @@ import pytest
 
 from entpoly.errors import InvalidInputError
 from entpoly.states import (
+    MAX_NETWORK_DIM,
     NetworkSpec,
     Resource,
     compose_network,
@@ -172,6 +173,14 @@ def test_ghz_diag_resource_matrix():
     for j in range(3):
         expected[4 * j, 4 * j] = 1 / 3
     np.testing.assert_allclose(rho, expected, atol=0)
+
+
+def test_compose_network_rejects_oversized_density_before_allocating():
+    # a 5-party complete EPR graph: 10 pairs of qubits, total dimension 2^20
+    pairs = tuple(Resource.epr(i, j) for i in range(5) for j in range(i + 1, 5))
+    assert 4 ** len(pairs) > MAX_NETWORK_DIM
+    with pytest.raises(InvalidInputError, match="dense limit"):
+        compose_network(NetworkSpec(5, pairs))
 
 
 def test_compose_network_matches_manual_kron():
