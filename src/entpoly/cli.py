@@ -24,6 +24,7 @@ from .measures import Bipartition, MeasureSpec, marginal_vector, measure_pure
 from .reproduce import TARGETS, run_target
 from .search import SCAN_FAMILIES, SearchConfig, fuzz_polygon, grid_scan, report_to_json
 from .states import haar_random, load_state, save_state
+from .tolerances import DEFAULT_TOL
 
 
 class _UsageError(Exception):
@@ -87,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("kind", choices=["polygon", "triangle", "bipartition", "renyi-mixed"])
     p.add_argument("--state", required=True)
     p.add_argument("--cut", help="required for bipartition")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_measure_flags(p, required=False)
 
     p = sub.add_parser("indicator", help="polygon/bipartition slack indicators")
@@ -112,7 +113,7 @@ def _build_parser() -> _Parser:
     _add_measure_flags(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--record-worst", type=int, default=4)
     p.add_argument("--out", help="write the full JSON report here")
@@ -244,12 +245,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_scan(args) -> int:
     if args.family == "star4":
         # the measure parameter is the scan variable; only the token matters
-        if args.measure == "qconc":
-            spec = MeasureSpec.qconcurrence(2.0)
-        elif args.measure == "unified":
-            spec = MeasureSpec.unified(1.0, 0.0)
-        else:
-            raise InvalidInputError("star4 scans support qconc or unified")
+        spec = MeasureSpec.from_token(args.measure, q=2, r=2, s=1)
     else:
         spec = _spec_from_args(args)
     rows = grid_scan(args.family, args.grid, spec)

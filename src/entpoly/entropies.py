@@ -11,11 +11,15 @@ same inputs:
 * ``von_neumann``: -Tr rho log2 rho
 * ``renyi0``:    log2(rank)
 
-Limit dispatch: a unified entropy with s within 1e-9 of 0 evaluates the
-Renyi entropy, and unified/Renyi/Tsallis with r within 1e-9 of 1 evaluate
-the von Neumann entropy.  Renyi and von Neumann use base-2 logarithms, so
-the generic unified formula (which is algebraic and converges to natural-log
-limits) approaches ln(2) times the dispatched value near r = 1 or s = 0.
+Each ``*_from_spectrum`` function checks its own (finite) parameter domain;
+:class:`EntropyParams` reaches them only through ``_ENTROPY_TABLE``.
+
+Limit dispatch: a unified entropy with s within ``LIMIT_TOL`` of 0
+evaluates the Renyi entropy, and unified/Renyi/Tsallis with r within
+``LIMIT_TOL`` of 1 evaluate the von Neumann entropy.  Renyi and von Neumann
+use base-2 logarithms, so the generic unified formula (which is algebraic
+and converges to natural-log limits) approaches ln(2) times the dispatched
+value near r = 1 or s = 0.  Tolerances live in :mod:`entpoly.tolerances`.
 """
 
 from __future__ import annotations
@@ -27,13 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .tensor import hermitian_eigenvalues
-
-LIMIT_TOL = 1e-9  # width of the parameter band that triggers limit dispatch
-PSD_TOL = 1e-9    # eigenvalues below -PSD_TOL mean the input is not a density
-LOG_EPS = 1e-12   # eigenvalues at or below this are dropped inside logarithms
-RANK_TOL = 1e-9   # rank counts eigenvalues above this
-
-ENTROPY_KINDS = ("fq", "unified", "renyi", "tsallis", "vn", "renyi0")
+from .tolerances import LIMIT_TOL, LOG_EPS, PSD_TOL, RANK_TOL, TRACE_TOL
 
 
 def density_spectrum(rho) -> np.ndarray:
@@ -44,7 +42,7 @@ def density_spectrum(rho) -> np.ndarray:
     clipped to 0.
     """
     vals = hermitian_eigenvalues(rho)
-    if abs(float(np.sum(vals)) - 1.0) > 1e-9:
+    if abs(float(np.sum(vals)) - 1.0) > TRACE_TOL:
         raise InvalidInputError("matrix does not have unit trace")
     if float(vals[0]) < -PSD_TOL:
         raise InvalidInputError(
@@ -61,8 +59,8 @@ def _power_sum(w: np.ndarray, r: float) -> float:
 
 
 def fq_from_spectrum(w, q: float) -> float:
-    if q < 2:
-        raise InvalidInputError(f"f_q requires q >= 2, got {q}")
+    if not 2 <= q < math.inf:
+        raise InvalidInputError(f"f_q requires a finite q >= 2, got {q}")
     return 1.0 - _power_sum(np.asarray(w, dtype=float), q)
 
 
@@ -80,8 +78,8 @@ def renyi0_from_spectrum(w) -> float:
 
 
 def renyi_from_spectrum(w, r: float) -> float:
-    if r < 0:
-        raise InvalidInputError(f"Renyi entropy requires r >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise InvalidInputError(f"Renyi entropy requires a finite r >= 0, got {r}")
     if abs(r - 1.0) <= LIMIT_TOL:
         return von_neumann_from_spectrum(w)
     if r == 0.0:
@@ -90,16 +88,16 @@ def renyi_from_spectrum(w, r: float) -> float:
 
 
 def tsallis_from_spectrum(w, r: float) -> float:
-    if r <= 0:
-        raise InvalidInputError(f"Tsallis entropy requires r > 0, got {r}")
+    if not 0 < r < math.inf:
+        raise InvalidInputError(f"Tsallis entropy requires a finite r > 0, got {r}")
     if abs(r - 1.0) <= LIMIT_TOL:
         return von_neumann_from_spectrum(w)
     return (_power_sum(np.asarray(w, dtype=float), r) - 1.0) / (1.0 - r)
 
 
 def unified_from_spectrum(w, r: float, s: float) -> float:
-    if r < 0 or s < 0:
-        raise InvalidInputError(f"unified entropy requires r, s >= 0, got r={r}, s={s}")
+    if not (0 <= r < math.inf and 0 <= s < math.inf):
+        raise InvalidInputError(f"unified entropy requires finite r, s >= 0, got r={r}, s={s}")
     if abs(r - 1.0) <= LIMIT_TOL:
         return von_neumann_from_spectrum(w)
     if abs(s) <= LIMIT_TOL:
@@ -119,12 +117,12 @@ def unified_entropy(rho, r: float, s: float) -> float:
 
 
 def renyi(rho, r: float) -> float:
-    """Renyi entropy in bits; r within 1e-9 of 1 evaluates von Neumann."""
+    """Renyi entropy in bits; r within ``LIMIT_TOL`` of 1 evaluates von Neumann."""
     return renyi_from_spectrum(density_spectrum(rho), r)
 
 
 def tsallis(rho, r: float) -> float:
-    """Tsallis entropy; r within 1e-9 of 1 evaluates von Neumann."""
+    """Tsallis entropy; r within ``LIMIT_TOL`` of 1 evaluates von Neumann."""
     return tsallis_from_spectrum(density_spectrum(rho), r)
 
 
@@ -134,8 +132,20 @@ def von_neumann(rho) -> float:
 
 
 def renyi0(rho) -> float:
-    """log2 of the rank (eigenvalues above 1e-9)."""
+    """log2 of the rank (eigenvalues above ``RANK_TOL``)."""
     return renyi0_from_spectrum(density_spectrum(rho))
+
+
+# kind -> (parameter names in q, r, s order, functional of the spectrum)
+_ENTROPY_TABLE = {
+    "fq": (("q",), fq_from_spectrum),
+    "unified": (("r", "s"), unified_from_spectrum),
+    "renyi": (("r",), renyi_from_spectrum),
+    "tsallis": (("r",), tsallis_from_spectrum),
+    "vn": ((), von_neumann_from_spectrum),
+    "renyi0": ((), renyi0_from_spectrum),
+}
+ENTROPY_KINDS = tuple(_ENTROPY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -148,43 +158,19 @@ class EntropyParams:
     s: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ENTROPY_KINDS:
+        if self.kind not in _ENTROPY_TABLE:
             raise InvalidInputError(f"unknown entropy kind {self.kind!r}")
-        if self.kind == "fq":
-            if self.q is None or self.q < 2:
-                raise InvalidInputError("fq needs q >= 2")
-        elif self.kind == "unified":
-            if self.r is None or self.s is None or self.r < 0 or self.s < 0:
-                raise InvalidInputError("unified needs r >= 0 and s >= 0")
-        elif self.kind == "renyi":
-            if self.r is None or self.r < 0:
-                raise InvalidInputError("renyi needs r >= 0")
-        elif self.kind == "tsallis":
-            if self.r is None or self.r <= 0:
-                raise InvalidInputError("tsallis needs r > 0")
+        names, functional = _ENTROPY_TABLE[self.kind]
+        given = tuple(n for n in ("q", "r", "s") if getattr(self, n) is not None)
+        if given != names:
+            raise InvalidInputError(
+                f"{self.kind} takes parameters ({', '.join(names)}), got ({', '.join(given)})")
+        # evaluated once on a pure spectrum, the functional checks its domain
+        functional(np.ones(1), *(getattr(self, n) for n in names))
 
     def of_spectrum(self, w) -> float:
-        if self.kind == "fq":
-            return fq_from_spectrum(w, self.q)
-        if self.kind == "unified":
-            return unified_from_spectrum(w, self.r, self.s)
-        if self.kind == "renyi":
-            return renyi_from_spectrum(w, self.r)
-        if self.kind == "tsallis":
-            return tsallis_from_spectrum(w, self.r)
-        if self.kind == "vn":
-            return von_neumann_from_spectrum(w)
-        return renyi0_from_spectrum(w)
+        names, functional = _ENTROPY_TABLE[self.kind]
+        return functional(w, *(getattr(self, n) for n in names))
 
     def of_matrix(self, rho) -> float:
-        if self.kind == "fq":
-            return f_q(rho, self.q)
-        if self.kind == "unified":
-            return unified_entropy(rho, self.r, self.s)
-        if self.kind == "renyi":
-            return renyi(rho, self.r)
-        if self.kind == "tsallis":
-            return tsallis(rho, self.r)
-        if self.kind == "vn":
-            return von_neumann(rho)
-        return renyi0(rho)
+        return self.of_spectrum(density_spectrum(rho))

@@ -7,6 +7,7 @@ search treats the satisfied/violated status as an observation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,7 @@ from .measures import (
 )
 from .entropies import renyi0_from_spectrum, renyi_from_spectrum
 from .states import MultiQuditState
-
-DEFAULT_TOL = 1e-9
+from .tolerances import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class InequalityResult:
 
     @staticmethod
     def of(lhs: float, rhs: float, tol: float) -> "InequalityResult":
+        if not math.isfinite(tol):
+            raise InvalidInputError(f"tol must be finite, got {tol}")
         margin = rhs - lhs
         return InequalityResult(lhs, rhs, margin, margin >= -tol, tol)
 
@@ -88,8 +90,7 @@ def renyi_mixed_check(psi: MultiQuditState, i: int, r: float,
     genuinely violated on heterogeneous site dimensions (the log-rank term
     can exceed both Renyi terms).
     """
-    if r < 0 or abs(r - 1.0) <= 1e-9:
-        raise InvalidInputError(f"requires r >= 0 with r != 1, got {r}")
+    MeasureSpec.renyi(r)  # raises outside the renyi measure's domain
     if psi.num_sites != 3:
         raise InvalidInputError("renyi_mixed_check needs a three-site state")
     if i < 0 or i > 2:

@@ -3,15 +3,19 @@
 Every measure of a pure state across a cut is a function of the squared
 Schmidt coefficients w (the reduced spectrum of either side): the entropy-
 based measures evaluate an entropy of w, concurrence is the qudit
-generalization sqrt(2 (1 - sum w^2)), and negativity,
-(trace_norm(partial transpose) - 1) / 2, equals ((sum sqrt(w))^2 - 1) / 2
-(Vidal and Werner, PRA 65, 032314).
+generalization sqrt(2 (1 - sum w^2)) = 2 sqrt(sum_{i<j} w_i w_j), and
+negativity, (trace_norm(partial transpose) - 1) / 2, equals
+((sum sqrt(w))^2 - 1) / 2 (Vidal and Werner, PRA 65, 032314).
+
+:class:`MeasureSpec` validates, parses and labels through ``_MEASURE_TABLE``
+alone: each token's entropy kind, parameter names and parameter domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,9 +23,46 @@ from .entropies import EntropyParams, density_spectrum
 from .errors import InvalidInputError, UnsupportedMeasureError
 from .states import MultiQuditState, NetworkState
 from .tensor import as_sites, schmidt_spectrum
+from .tolerances import LIMIT_TOL
 
-MEASURE_TOKENS = ("qconc", "unified", "renyi", "tsallis", "eof", "conc", "neg")
-ENTROPY_BASED = ("qconc", "unified", "renyi", "tsallis", "eof")
+
+def _concurrence_from_spectrum(w) -> float:
+    # 2 sqrt(sum_{i<j} w_i w_j) over the ascending spectrum: unlike
+    # sqrt(2 (1 - sum w^2)) it does not cancel to roundoff near product states
+    return 2.0 * math.sqrt(max(float(np.dot(w[1:], np.cumsum(w)[:-1])), 0.0))
+
+
+def _negativity_from_spectrum(w) -> float:
+    return 0.5 * (float(np.sum(np.sqrt(w))) ** 2 - 1.0)
+
+
+class _MeasureRow(NamedTuple):
+    entropy: str | None            # EntropyParams kind, None if not entropy-based
+    params: tuple[str, ...]        # parameter names, in q, r, s order
+    message: str                   # raised on a missing, extra or invalid parameter
+    domain: Callable[..., bool] = lambda: True  # true on valid (finite) parameter values
+    functional: Callable | None = None  # measure of w when not entropy-based
+
+
+_MEASURE_TABLE = {
+    "qconc": _MeasureRow("fq", ("q",), "qconc takes exactly one finite q >= 2 (flag --q)",
+                         lambda q: 2 <= q < math.inf),
+    "unified": _MeasureRow("unified", ("r", "s"),
+                           "unified takes exactly a finite r >= 1 and s >= 0 (flags --r --s)",
+                           lambda r, s: 1 <= r < math.inf and 0 <= s < math.inf),
+    "renyi": _MeasureRow("renyi", ("r",),
+                         "renyi takes exactly one finite r >= 0, r != 1 (flag --r)",
+                         lambda r: 0 <= r < math.inf and abs(r - 1.0) > LIMIT_TOL),
+    "tsallis": _MeasureRow("tsallis", ("r",), "tsallis takes exactly one finite r > 1 (flag --r)",
+                           lambda r: 1 < r < math.inf),
+    "eof": _MeasureRow("vn", (), "eof takes no parameters"),
+    "conc": _MeasureRow(None, (), "conc takes no parameters",
+                        functional=_concurrence_from_spectrum),
+    "neg": _MeasureRow(None, (), "neg takes no parameters",
+                       functional=_negativity_from_spectrum),
+}
+MEASURE_TOKENS = tuple(_MEASURE_TABLE)
+ENTROPY_BASED = tuple(t for t, row in _MEASURE_TABLE.items() if row.entropy is not None)
 
 
 @dataclass(frozen=True)
@@ -81,25 +122,19 @@ class MeasureSpec:
     q: float | None = None
     r: float | None = None
     s: float | None = None
+    _entropy: EntropyParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in MEASURE_TOKENS:
-            raise InvalidInputError(f"unknown measure {self.kind!r}")
-        if self.kind == "qconc":
-            if self.q is None or self.q < 2:
-                raise InvalidInputError("qconc requires q >= 2 (flag --q)")
-        elif self.kind == "unified":
-            if self.r is None or self.s is None or self.r < 1 or self.s < 0:
-                raise InvalidInputError("unified requires r >= 1 and s >= 0 (flags --r --s)")
-        elif self.kind == "renyi":
-            if self.r is None or self.r < 0 or abs(self.r - 1.0) <= 1e-9:
-                raise InvalidInputError("renyi requires r >= 0 with r != 1 (flag --r)")
-        elif self.kind == "tsallis":
-            if self.r is None or self.r <= 1:
-                raise InvalidInputError("tsallis requires r > 1 (flag --r)")
-        else:
-            if not (self.q is None and self.r is None and self.s is None):
-                raise InvalidInputError(f"{self.kind} takes no parameters")
+        row = _MEASURE_TABLE.get(self.kind)
+        if row is None:
+            raise InvalidInputError(
+                f"unknown measure {self.kind!r}; expected one of {', '.join(MEASURE_TOKENS)}")
+        given = tuple(n for n in ("q", "r", "s") if getattr(self, n) is not None)
+        if given != row.params or not row.domain(*(getattr(self, n) for n in given)):
+            raise InvalidInputError(row.message)
+        if row.entropy is not None:
+            object.__setattr__(self, "_entropy", EntropyParams(
+                row.entropy, **{n: getattr(self, n) for n in given}))
 
     @staticmethod
     def qconcurrence(q: float) -> "MeasureSpec":
@@ -131,42 +166,23 @@ class MeasureSpec:
 
     @staticmethod
     def from_token(token: str, q=None, r=None, s=None) -> "MeasureSpec":
-        if token not in MEASURE_TOKENS:
-            raise InvalidInputError(
-                f"unknown measure token {token!r}; expected one of {', '.join(MEASURE_TOKENS)}")
-        if token == "qconc":
-            return MeasureSpec(token, q=None if q is None else float(q))
-        if token in ("renyi", "tsallis"):
-            return MeasureSpec(token, r=None if r is None else float(r))
-        if token == "unified":
-            return MeasureSpec(token,
-                               r=None if r is None else float(r),
-                               s=None if s is None else float(s))
-        return MeasureSpec(token)
+        """Spec for a token, keeping only the parameters the token takes."""
+        given = {"q": q, "r": r, "s": s}
+        names = _MEASURE_TABLE[token].params if token in _MEASURE_TABLE else ()
+        return MeasureSpec(token, **{
+            n: None if given[n] is None else float(given[n]) for n in names})
 
     @property
     def is_entropy_based(self) -> bool:
-        return self.kind in ENTROPY_BASED
+        return self._entropy is not None
 
     def entropy_params(self) -> EntropyParams:
-        if self.kind == "qconc":
-            return EntropyParams("fq", q=self.q)
-        if self.kind == "unified":
-            return EntropyParams("unified", r=self.r, s=self.s)
-        if self.kind == "renyi":
-            return EntropyParams("renyi", r=self.r)
-        if self.kind == "tsallis":
-            return EntropyParams("tsallis", r=self.r)
-        if self.kind == "eof":
-            return EntropyParams("vn")
-        raise UnsupportedMeasureError(f"{self.kind} is not an entropy-based measure")
+        if self._entropy is None:
+            raise UnsupportedMeasureError(f"{self.kind} is not an entropy-based measure")
+        return self._entropy
 
     def label(self) -> str:
-        args = []
-        for name in ("q", "r", "s"):
-            val = getattr(self, name)
-            if val is not None:
-                args.append(f"{name}={val:g}")
+        args = [f"{n}={getattr(self, n):g}" for n in _MEASURE_TABLE[self.kind].params]
         return self.kind + (f"({','.join(args)})" if args else "")
 
 
@@ -206,9 +222,7 @@ def value_from_spectrum(spec: MeasureSpec, w: np.ndarray) -> float:
     """
     if spec.is_entropy_based:
         return spec.entropy_params().of_spectrum(w)
-    if spec.kind == "conc":
-        return math.sqrt(max(2.0 * (1.0 - float(np.sum(np.square(w)))), 0.0))
-    return 0.5 * (float(np.sum(np.sqrt(w))) ** 2 - 1.0)
+    return _MEASURE_TABLE[spec.kind].functional(w)
 
 
 def measure_pure(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec) -> float:

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .entropies import LIMIT_TOL, LOG_EPS
 from .errors import InvalidInputError
 from .inequalities import renyi_mixed_check, tau_hat_indicator, tau_indicator
 from .measures import (
@@ -35,6 +34,7 @@ from .states import (
     w_qutrit,
 )
 from .tensor import partial_trace
+from .tolerances import DEFAULT_TOL, LIMIT_TOL, LOG_EPS
 
 TARGETS = ("example1", "example2", "example3", "example4", "example5", "example6",
            "fig2", "fig4a", "fig4b", "table1")
@@ -337,16 +337,6 @@ _TABLE1_ROWS = (
 )
 
 
-def _row_spec(token: str) -> MeasureSpec:
-    if token == "qconc":
-        return MeasureSpec.qconcurrence(2)
-    if token == "tsallis":
-        return MeasureSpec.tsallis(2)
-    if token == "unified":
-        return MeasureSpec.unified(2, 1)
-    return MeasureSpec.from_token(token)
-
-
 def _renyi_triangle_fuzz(dims, r: float, trials: int, seed: int, tol: float):
     violations = 0
     min_margin = math.inf
@@ -367,10 +357,11 @@ def table1(trials: int = 1000, seed: int = 0, **_):
     for index, (label, token, dims, status) in enumerate(_TABLE1_ROWS):
         row_seed = mix64(seed, index)
         if token == "renyi3":
-            violations, min_margin = _renyi_triangle_fuzz(dims, 2.0, trials, row_seed, 1e-9)
+            violations, min_margin = _renyi_triangle_fuzz(dims, 2.0, trials, row_seed,
+                                                         DEFAULT_TOL)
         else:
             report = fuzz_polygon(SearchConfig(
-                dims=dims, spec=_row_spec(token), trials=trials,
+                dims=dims, spec=MeasureSpec.from_token(token, q=2, r=2, s=1), trials=trials,
                 seed=row_seed, record_worst=0))
             violations, min_margin = report.violations, report.min_margin
         mark = "?" if status == "open" else "√"

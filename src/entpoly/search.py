@@ -20,6 +20,7 @@ from .inequalities import tau_hat_indicator, tau_indicator
 from .measures import MeasureSpec, marginal_vector
 from .states import MultiQuditState, generalized_ghz3, haar_random, star4, state_from_dict, state_to_dict
 from .tensor import as_dims
+from .tolerances import DEFAULT_TOL
 
 HIST_BINS = 64
 HIST_LO = -0.1
@@ -46,15 +47,15 @@ class SearchConfig:
     spec: MeasureSpec
     trials: int
     seed: int = 0
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     record_worst: int = 4
 
     def __post_init__(self):
         object.__setattr__(self, "dims", as_dims(self.dims))
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        if self.tol <= 0:
-            raise InvalidInputError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise InvalidInputError(f"tol must be finite and > 0, got {self.tol}")
         if self.record_worst < 0:
             raise InvalidInputError("record_worst must be >= 0")
 
@@ -93,7 +94,7 @@ def _run_chunk(cfg: SearchConfig, start: int, stop: int):
     violations = 0
     min_margin = math.inf
     hist = np.zeros(HIST_BINS, dtype=np.int64)
-    worst: list[tuple[float, int, int, int, dict]] = []
+    worst: list[tuple] = []  # (margin, trial, seed, site, state), lowest margin first
     for trial in range(start, stop):
         trial_seed = mix64(cfg.seed, trial)
         psi = haar_random(cfg.dims, trial_seed)
@@ -107,7 +108,7 @@ def _run_chunk(cfg: SearchConfig, start: int, stop: int):
         worst_margin = float(margins[j])
         min_margin = min(min_margin, worst_margin)
         if cfg.record_worst > 0:
-            worst.append((worst_margin, trial, trial_seed, j, state_to_dict(psi)))
+            worst.append((worst_margin, trial, trial_seed, j, psi))
             worst.sort(key=lambda t: (t[0], t[1]))
             del worst[cfg.record_worst:]
     return violations, min_margin, hist, worst
@@ -137,8 +138,8 @@ def fuzz_polygon(cfg: SearchConfig, workers: int = 1) -> ViolationReport:
     candidates = [w for p in parts for w in p[3]]
     candidates.sort(key=lambda t: (t[0], t[1]))
     worst = tuple(
-        WorstState(trial=t, seed=s, site=j, margin=m, state=doc)
-        for m, t, s, j, doc in candidates[:cfg.record_worst])
+        WorstState(trial=t, seed=s, site=j, margin=m, state=state_to_dict(psi))
+        for m, t, s, j, psi in candidates[:cfg.record_worst])
     return ViolationReport(
         dims=cfg.dims,
         measure=cfg.spec.label(),

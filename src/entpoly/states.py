@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .tensor import as_dims, is_hermitian, kron, partial_trace, reduced_of_pure, total_dim
-
-NORM_LOAD_TOL = 1e-6  # acceptance band for user-supplied amplitude vectors
+from .tolerances import NORM_LOAD_TOL, NORM_TOL, TRACE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +32,7 @@ class MultiQuditState:
             raise InvalidInputError(
                 f"expected {total_dim(dims)} amplitudes for dims {list(dims)}, "
                 f"got {amps.size}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise InvalidInputError("amplitudes are not normalized")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -57,7 +56,7 @@ class MultiQuditState:
 
 
 def from_amplitudes(dims, amplitudes) -> MultiQuditState:
-    """Build a state, renormalizing when the norm is within 1e-6 of 1.
+    """Build a state, renormalizing when the norm is within ``NORM_LOAD_TOL`` of 1.
 
     A zero vector or a norm outside the tolerance band is rejected: it is
     more likely a malformed input than an unnormalized state.
@@ -241,7 +240,7 @@ class NetworkState:
             raise InvalidInputError("density shape does not match party dimensions")
         if not is_hermitian(rho):
             raise InvalidInputError("network density is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-9:
+        if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
             raise InvalidInputError("network density does not have unit trace")
         rho = rho.copy()
         rho.flags.writeable = False

@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-
-HERMITIAN_TOL = 1e-10
+from .tolerances import HERMITIAN_TOL, NORM_TOL
 
 
 def as_dims(dims) -> tuple[int, ...]:
@@ -93,7 +92,7 @@ def _cut_matrix(amplitudes, dims, keep) -> np.ndarray:
             f"amplitude vector length {v.size} does not match the product "
             f"of the site dimensions ({total_dim(dims)})")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-9:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise InvalidInputError(f"state is not normalized: |norm-1| = {abs(nrm - 1.0):.3e}")
     traced = tuple(j for j in range(n) if j not in keep)
     dk = math.prod(dims[j] for j in keep) if keep else 1

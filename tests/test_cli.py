@@ -91,6 +91,23 @@ def test_exit_codes_usage_and_input_errors(capsys, tmp_path):
         main(["--help"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("marginals", "--measure", "qconc", "--q", "nan"),
+    ("marginals", "--measure", "tsallis", "--r", "inf"),
+    ("check", "renyi-mixed", "--r", "nan"),
+    ("check", "polygon", "--measure", "eof", "--tol", "nan"),
+])
+def test_non_finite_parameters_exit_2(capsys, state_file, argv):
+    code, out, err = run(capsys, *argv, "--state", state_file)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_fuzz_non_finite_tol_exits_2(capsys):
+    code, _, err = run(capsys, "fuzz", "--dims", "2,2,2", "--measure", "eof",
+                       "--trials", "5", "--tol", "nan")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_sample_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "s.state"
     code, out, _ = run(capsys, "sample", "--dims", "2,3", "--seed", "5",

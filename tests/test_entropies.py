@@ -149,6 +149,17 @@ def test_parameter_validation():
         EntropyParams("bogus")
 
 
+def test_non_finite_and_unused_parameters_rejected():
+    rho = np.eye(2) / 2
+    for fn in (lambda: f_q(rho, math.nan), lambda: renyi(rho, math.inf),
+               lambda: tsallis(rho, math.nan), lambda: unified_entropy(rho, 2, math.inf),
+               lambda: EntropyParams("fq", q=math.nan), lambda: EntropyParams("fq"),
+               lambda: EntropyParams("vn", q=2.0), lambda: EntropyParams("unified", r=2.0)):
+        with pytest.raises(InvalidInputError):
+            fn()
+    assert EntropyParams("unified", r=2.0, s=0.0).of_matrix(rho) == renyi(rho, 2.0)
+
+
 def test_unitary_invariance():
     # full-rank density: fractional powers of true zero eigenvalues are
     # ill-conditioned (sqrt of basis-dependent 1e-16 noise), which is a

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entpoly.errors import InvalidInputError
 from entpoly.inequalities import (
@@ -27,6 +29,7 @@ from entpoly.states import (
     star4,
     w_qutrit,
 )
+from entpoly.tolerances import DEFAULT_TOL
 
 ENTROPY_SPECS = [
     MeasureSpec.qconcurrence(2), MeasureSpec.qconcurrence(3),
@@ -279,3 +282,30 @@ def test_triangle_fuzz_small():
                 lower, upper = triangle_check(mv, i)
                 assert lower.margin >= -1e-9
                 assert upper.margin >= -1e-9
+
+
+@st.composite
+def proved_polygon_cases(draw):
+    """A Haar state and a measure whose polygon inequality is proved for it."""
+    kind = draw(st.sampled_from(("qconc", "eof", "tsallis", "unified", "conc", "neg")))
+    order = st.floats(1.0, 5.0, exclude_min=True)
+    spec = {
+        "qconc": lambda: MeasureSpec.qconcurrence(draw(st.floats(2.0, 9.0))),
+        "eof": MeasureSpec.eof,
+        "tsallis": lambda: MeasureSpec.tsallis(draw(order)),
+        "unified": lambda: MeasureSpec.unified(draw(order), draw(st.floats(1.0, 5.0))),
+        "conc": MeasureSpec.concurrence,
+        "neg": MeasureSpec.negativity,
+    }[kind]()
+    if kind in ("conc", "neg"):  # proved for qubits only
+        dims = (2, 2, 2)
+    else:
+        dims = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=4)))
+    return haar_random(dims, draw(st.integers(0, 2**32 - 1))), spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=proved_polygon_cases())
+def test_polygon_margin_nonnegative_on_haar_states(case):
+    psi, spec = case
+    assert tau_indicator(psi, spec).value >= -DEFAULT_TOL

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from entpoly.entropies import f_q, renyi, tsallis, unified_entropy, von_neumann
 from entpoly.errors import InvalidInputError, UnsupportedMeasureError
 from entpoly.measures import (
+    MEASURE_TOKENS,
     Bipartition,
     MeasureSpec,
     marginal_vector,
@@ -14,6 +16,7 @@ from entpoly.measures import (
     network_marginal_vector,
     site_spectra,
     total_entanglement,
+    value_from_spectrum,
 )
 from entpoly.states import (
     NetworkSpec,
@@ -76,6 +79,52 @@ def test_measure_spec_validation():
         MeasureSpec.from_token("bogus")
     assert MeasureSpec.from_token("qconc", q=2).label() == "qconc(q=2)"
     assert MeasureSpec.eof().label() == "eof"
+
+
+# token -> (valid parameters, invalid values of each parameter)
+VALID_PARAMS = {
+    "qconc": ({"q": 2.0}, {"q": (1.5, math.nan, math.inf)}),
+    "unified": ({"r": 2.0, "s": 1.0},
+                {"r": (0.5, math.nan, math.inf), "s": (-1.0, math.nan, math.inf)}),
+    "renyi": ({"r": 2.0}, {"r": (-0.5, 1.0, math.nan, math.inf)}),
+    "tsallis": ({"r": 2.0}, {"r": (1.0, math.nan, math.inf)}),
+    "eof": ({}, {}),
+    "conc": ({}, {}),
+    "neg": ({}, {}),
+}
+
+
+def test_every_token_rejects_bad_missing_and_extra_parameters():
+    assert set(VALID_PARAMS) == set(MEASURE_TOKENS)
+    for token, (valid, invalid) in VALID_PARAMS.items():
+        spec = MeasureSpec(token, **valid)
+        assert MeasureSpec.from_token(token, q=2, r=2, s=1) == spec
+        for name, values in invalid.items():
+            for value in values:
+                with pytest.raises(InvalidInputError):
+                    MeasureSpec(token, **{**valid, name: value})
+        for name in valid:
+            with pytest.raises(InvalidInputError):
+                MeasureSpec(token, **{n: v for n, v in valid.items() if n != name})
+        for name in ("q", "r", "s"):
+            if name not in valid:
+                with pytest.raises(InvalidInputError):
+                    MeasureSpec(token, **{**valid, name: 3.0})
+
+
+def test_entropy_tokens_evaluate_the_matching_entropy():
+    w = np.array([0.05, 0.15, 0.3, 0.5])
+    rho = np.diag(w)
+    cases = [
+        (MeasureSpec.qconcurrence(3.5), f_q(rho, 3.5)),
+        (MeasureSpec.eof(), von_neumann(rho)),
+        (MeasureSpec.renyi(0.5), renyi(rho, 0.5)),
+        (MeasureSpec.tsallis(2.5), tsallis(rho, 2.5)),
+        (MeasureSpec.unified(2.5, 1.5), unified_entropy(rho, 2.5, 1.5)),
+        (MeasureSpec.unified(2.5, 0.0), renyi(rho, 2.5)),
+    ]
+    for spec, expected in cases:
+        assert abs(value_from_spectrum(spec, w) - expected) < 1e-14
 
 
 def test_product_state_measures_zero():

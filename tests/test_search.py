@@ -36,6 +36,25 @@ def test_search_config_validation():
         SearchConfig(dims=(1, 2), spec=spec, trials=5, seed=0)
 
 
+def test_search_config_rejects_non_finite_tol():
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            SearchConfig(dims=(2, 2), spec=MeasureSpec.eof(), trials=5, seed=0, tol=tol)
+
+
+def test_fuzz_serializes_only_the_reported_states(monkeypatch):
+    calls = []
+    real = search.state_to_dict
+    monkeypatch.setattr(search, "state_to_dict", lambda psi: calls.append(psi) or real(psi))
+    cfg = SearchConfig(dims=(2, 3, 2), spec=MeasureSpec.eof(), trials=50, seed=3,
+                       record_worst=3)
+    report = fuzz_polygon(cfg)
+    assert len(calls) == 3
+    for entry in report.worst_states:
+        assert entry.state == real(search.haar_random(cfg.dims, entry.seed))
+        assert entry.seed == mix64(cfg.seed, entry.trial)
+
+
 def test_fuzz_polygon_deterministic_and_worker_independent():
     cfg = SearchConfig(dims=(2, 3, 2), spec=MeasureSpec.qconcurrence(2),
                        trials=120, seed=42)
