@@ -11,8 +11,10 @@ same inputs:
 * ``von_neumann``: -Tr rho log2 rho
 * ``renyi0``:    log2(rank)
 
-Each ``*_from_spectrum`` function checks its own (finite) parameter domain;
-:class:`EntropyParams` reaches them only through ``_ENTROPY_TABLE``.
+Each ``*_from_spectrum`` function checks its own (finite) parameter domain
+and reduces over the last axis: one spectrum gives a float, a stack of
+spectra an array of values.  :class:`EntropyParams` reaches them only
+through ``_ENTROPY_TABLE``.
 
 Limit dispatch: a unified entropy with s within ``LIMIT_TOL`` of 0
 evaluates the Renyi entropy, and unified/Renyi/Tsallis with r within
@@ -50,52 +52,56 @@ def density_spectrum(rho) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def _power_sum(w: np.ndarray, r: float) -> float:
-    # Tr(rho^r) from the clipped spectrum; r = 0 counts the rank.
+def _value(x):
+    # one spectrum gives a Python float, a batch of spectra an array
+    return float(x) if x.ndim == 0 else x
+
+
+def _power_sum(w: np.ndarray, r: float):
+    # Tr(rho^r) of each spectrum along the last axis; r = 0 counts the rank.
     if r == 0.0:
-        return float(np.count_nonzero(w > RANK_TOL))
-    pos = w[w > 0.0]
-    return float(np.sum(pos**r))
+        return (w > RANK_TOL).sum(axis=-1)
+    return (np.fmax(w, 0.0) ** r).sum(axis=-1)  # nonpositive entries add 0
 
 
-def fq_from_spectrum(w, q: float) -> float:
+def fq_from_spectrum(w, q: float):
     if not 2 <= q < math.inf:
         raise InvalidInputError(f"f_q requires a finite q >= 2, got {q}")
-    return 1.0 - _power_sum(np.asarray(w, dtype=float), q)
+    return _value(1.0 - _power_sum(np.asarray(w, dtype=float), q))
 
 
-def von_neumann_from_spectrum(w) -> float:
+def von_neumann_from_spectrum(w):
     w = np.asarray(w, dtype=float)
-    w = w[w > LOG_EPS]
-    return float(-(w @ np.log2(w)))
+    w = np.where(w > LOG_EPS, w, 1.0)  # 1 log 1 = 0 stands in for dropped eigenvalues
+    return _value(-np.vecdot(w, np.log2(w)))
 
 
-def renyi0_from_spectrum(w) -> float:
-    rank = np.count_nonzero(np.asarray(w, dtype=float) > RANK_TOL)
-    if rank == 0:
+def renyi0_from_spectrum(w):
+    rank = (np.asarray(w, dtype=float) > RANK_TOL).sum(axis=-1)
+    if np.count_nonzero(rank == 0):
         raise InvalidInputError("zero spectrum has no rank entropy")
-    return math.log2(rank)
+    return _value(np.log2(rank))
 
 
-def renyi_from_spectrum(w, r: float) -> float:
+def renyi_from_spectrum(w, r: float):
     if not 0 <= r < math.inf:
         raise InvalidInputError(f"Renyi entropy requires a finite r >= 0, got {r}")
     if abs(r - 1.0) <= LIMIT_TOL:
         return von_neumann_from_spectrum(w)
     if r == 0.0:
         return renyi0_from_spectrum(w)
-    return math.log2(_power_sum(np.asarray(w, dtype=float), r)) / (1.0 - r)
+    return _value(np.log2(_power_sum(np.asarray(w, dtype=float), r)) / (1.0 - r))
 
 
-def tsallis_from_spectrum(w, r: float) -> float:
+def tsallis_from_spectrum(w, r: float):
     if not 0 < r < math.inf:
         raise InvalidInputError(f"Tsallis entropy requires a finite r > 0, got {r}")
     if abs(r - 1.0) <= LIMIT_TOL:
         return von_neumann_from_spectrum(w)
-    return (_power_sum(np.asarray(w, dtype=float), r) - 1.0) / (1.0 - r)
+    return _value((_power_sum(np.asarray(w, dtype=float), r) - 1.0) / (1.0 - r))
 
 
-def unified_from_spectrum(w, r: float, s: float) -> float:
+def unified_from_spectrum(w, r: float, s: float):
     if not (0 <= r < math.inf and 0 <= s < math.inf):
         raise InvalidInputError(f"unified entropy requires finite r, s >= 0, got r={r}, s={s}")
     if abs(r - 1.0) <= LIMIT_TOL:
@@ -103,7 +109,7 @@ def unified_from_spectrum(w, r: float, s: float) -> float:
     if abs(s) <= LIMIT_TOL:
         return renyi_from_spectrum(w, r)
     t = _power_sum(np.asarray(w, dtype=float), r)
-    return (t**s - 1.0) / ((1.0 - r) * s)
+    return _value((t**s - 1.0) / ((1.0 - r) * s))
 
 
 def f_q(rho, q: float) -> float:

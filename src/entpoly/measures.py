@@ -19,21 +19,23 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .entropies import EntropyParams, density_spectrum
+from .entropies import EntropyParams, _value, density_spectrum
 from .errors import InvalidInputError, UnsupportedMeasureError
 from .states import MultiQuditState, NetworkState
 from .tensor import as_sites, schmidt_spectrum
 from .tolerances import LIMIT_TOL
 
 
-def _concurrence_from_spectrum(w) -> float:
+def _concurrence_from_spectrum(w):
     # 2 sqrt(sum_{i<j} w_i w_j) over the ascending spectrum: unlike
     # sqrt(2 (1 - sum w^2)) it does not cancel to roundoff near product states
-    return 2.0 * math.sqrt(max(float(np.dot(w[1:], np.cumsum(w)[:-1])), 0.0))
+    w = np.asarray(w, dtype=float)
+    pairs = np.vecdot(w[..., 1:], w.cumsum(axis=-1)[..., :-1])
+    return _value(2.0 * np.sqrt(np.maximum(pairs, 0.0)))
 
 
-def _negativity_from_spectrum(w) -> float:
-    return 0.5 * (float(np.sum(np.sqrt(w))) ** 2 - 1.0)
+def _negativity_from_spectrum(w):
+    return _value(0.5 * (np.sqrt(w).sum(axis=-1) ** 2 - 1.0))
 
 
 class _MeasureRow(NamedTuple):
@@ -194,10 +196,20 @@ def cut_spectrum(psi: MultiQuditState, cut: Bipartition) -> np.ndarray:
     on that part.
     """
     cut.validate_for(psi.num_sites)
-    da = math.prod(psi.dims[j] for j in cut.side_a)
-    db = math.prod(psi.dims[j] for j in cut.side_b)
-    side = cut.side_a if da <= db else cut.side_b
-    return sites_spectrum(psi, side)
+    return sites_spectrum(psi, _smaller_side(psi.dims, cut.side_a, cut.side_b))
+
+
+def _smaller_side(dims, side_a, side_b) -> tuple[int, ...]:
+    # the side of a cut with the smaller dimension, side a on a tie
+    da = math.prod(dims[j] for j in side_a)
+    db = math.prod(dims[j] for j in side_b)
+    return side_a if da <= db else side_b
+
+
+def _site_sides(dims) -> list[tuple[int, ...]]:
+    # for every site j, the side of the cut j | rest that cut_spectrum reduces to
+    n = len(dims)
+    return [_smaller_side(dims, (j,), tuple(k for k in range(n) if k != j)) for j in range(n)]
 
 
 def sites_spectrum(psi: MultiQuditState, sites) -> np.ndarray:
@@ -207,15 +219,14 @@ def sites_spectrum(psi: MultiQuditState, sites) -> np.ndarray:
 
 def site_spectra(psi: MultiQuditState) -> list[np.ndarray]:
     """Spectrum of every single-site marginal, smaller-side shortcut included."""
-    out = []
-    for j in range(psi.num_sites):
-        out.append(cut_spectrum(psi, Bipartition.one_vs_rest(j, psi.num_sites)))
-    return out
+    return [sites_spectrum(psi, side) for side in _site_sides(psi.dims)]
 
 
-def value_from_spectrum(spec: MeasureSpec, w: np.ndarray) -> float:
+def value_from_spectrum(spec: MeasureSpec, w: np.ndarray):
     """Evaluate any of the seven measures from a pure state's nonnegative cut spectrum w.
 
+    A 1-D ``w`` gives a float; a (T, d) batch of spectra gives the T values,
+    each reduced over the last axis like the 1-D call.
     Negativity is ((sum sqrt(w))^2 - 1) / 2: the trace norm of a pure state's
     partial transpose is the squared sum of its Schmidt coefficients, so no
     density or partial transpose is formed.

@@ -2,7 +2,17 @@
 
 Trials are seeded individually through :func:`mix64`, so a report depends
 only on (seed, trials, config) and never on how trials are scheduled across
-workers.
+workers or blocks.
+
+A worker runs its chunk of trials in blocks of at most ``BLOCK_AMPLITUDES``
+amplitudes (at least one trial).  A block draws its trials' Haar states
+into the rows of one (T, D) array, bit for bit the states ``haar_random``
+gives for their seeds, then runs one batched SVD per site
+(:func:`~entpoly.tensor.schmidt_spectrum`) and evaluates the measure on
+the (T, d) spectra (:func:`~entpoly.measures.value_from_spectrum`).
+Margins, violations, the histogram and the lowest-margin trials are
+array operations; only the trials kept as worst states become
+:class:`~entpoly.states.MultiQuditState` objects.
 """
 
 from __future__ import annotations
@@ -17,14 +27,24 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .inequalities import tau_hat_indicator, tau_indicator
-from .measures import MeasureSpec, marginal_vector
-from .states import MultiQuditState, generalized_ghz3, haar_random, star4, state_from_dict, state_to_dict
-from .tensor import as_dims
+from .measures import MeasureSpec, _site_sides, marginal_vector, value_from_spectrum
+from .states import (
+    MultiQuditState,
+    _haar_draws,
+    generalized_ghz3,
+    haar_random,  # the per-trial state of the fuzz, looked up on this module by callers
+    star4,
+    state_from_dict,
+    state_to_dict,
+)
+from .tensor import as_dims, schmidt_spectrum
 from .tolerances import DEFAULT_TOL
 
 HIST_BINS = 64
 HIST_LO = -0.1
 HIST_HI = 1.0
+# Complex amplitudes drawn per block of trials (1 MiB): bounds a chunk's working memory.
+BLOCK_AMPLITUDES = 2**16
 _MASK64 = (1 << 64) - 1
 
 
@@ -85,32 +105,36 @@ class ViolationReport:
     histogram_range: tuple[float, float] = (HIST_LO, HIST_HI)
 
 
-def _hist_index(margin: float) -> int:
-    frac = (margin - HIST_LO) / (HIST_HI - HIST_LO)
-    return min(max(int(frac * HIST_BINS), 0), HIST_BINS - 1)
+def _hist_index(margins) -> np.ndarray:
+    frac = (margins - HIST_LO) / (HIST_HI - HIST_LO)
+    return np.minimum(np.maximum((frac * HIST_BINS).astype(np.int64), 0), HIST_BINS - 1)
 
 
 def _run_chunk(cfg: SearchConfig, start: int, stop: int):
+    size = math.prod(cfg.dims)
+    sides = _site_sides(cfg.dims)
     violations = 0
     min_margin = math.inf
     hist = np.zeros(HIST_BINS, dtype=np.int64)
     worst: list[tuple] = []  # (margin, trial, seed, site, state), lowest margin first
-    for trial in range(start, stop):
-        trial_seed = mix64(cfg.seed, trial)
-        psi = haar_random(cfg.dims, trial_seed)
-        mv = marginal_vector(psi, cfg.spec)
-        total = float(np.sum(mv))
-        margins = total - 2.0 * mv  # polygon slack at every site
+    step = max(1, BLOCK_AMPLITUDES // size)
+    for lo in range(start, stop, step):
+        seeds = [mix64(cfg.seed, t) for t in range(lo, min(lo + step, stop))]
+        amps = _haar_draws(seeds, size)
+        mv = np.stack([value_from_spectrum(cfg.spec, schmidt_spectrum(amps, cfg.dims, side))
+                       for side in sides], axis=-1)
+        margins = mv.sum(axis=-1, keepdims=True) - 2.0 * mv  # polygon slack at every site
         violations += int(np.count_nonzero(margins < -cfg.tol))
-        for m in margins:
-            hist[_hist_index(float(m))] += 1
-        j = int(np.argmin(margins))
-        worst_margin = float(margins[j])
-        min_margin = min(min_margin, worst_margin)
-        if cfg.record_worst > 0:
-            worst.append((worst_margin, trial, trial_seed, j, psi))
-            worst.sort(key=lambda t: (t[0], t[1]))
-            del worst[cfg.record_worst:]
+        hist += np.bincount(_hist_index(margins).reshape(-1), minlength=HIST_BINS)
+        sites = margins.argmin(axis=-1)
+        lows = margins.min(axis=-1)
+        min_margin = min(min_margin, float(lows.min()))
+        # a stable sort keeps equal margins in trial order
+        for i in np.argsort(lows, kind="stable")[:cfg.record_worst]:
+            worst.append((float(lows[i]), lo + int(i), seeds[i], int(sites[i]),
+                          MultiQuditState(cfg.dims, amps[i])))
+        worst.sort(key=lambda t: (t[0], t[1]))
+        del worst[cfg.record_worst:]
     return violations, min_margin, hist, worst
 
 
@@ -118,9 +142,10 @@ def fuzz_polygon(cfg: SearchConfig, workers: int = 1) -> ViolationReport:
     """Polygon-inequality fuzz over Haar-random states.
 
     Per trial t the state is ``haar_random(cfg.dims, mix64(cfg.seed, t))``
-    and every one-to-group margin is accumulated.  The report is identical
-    for any ``workers`` count.  At most ``os.cpu_count()`` processes run,
-    and never more than there are chunks of trials.
+    and every one-to-group margin is accumulated, a block of trials at a
+    time.  The report is identical for any ``workers`` count.  At most
+    ``os.cpu_count()`` processes run, and never more than there are chunks
+    of trials.
     """
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
@@ -134,7 +159,7 @@ def fuzz_polygon(cfg: SearchConfig, workers: int = 1) -> ViolationReport:
             parts = list(pool.map(_run_chunk, *zip(*[(cfg,) + b for b in bounds])))
     violations = sum(p[0] for p in parts)
     min_margin = min(p[1] for p in parts)
-    hist = np.sum([p[2] for p in parts], axis=0)
+    hist = sum(p[2] for p in parts)
     candidates = [w for p in parts for w in p[3]]
     candidates.sort(key=lambda t: (t[0], t[1]))
     worst = tuple(
@@ -149,7 +174,7 @@ def fuzz_polygon(cfg: SearchConfig, workers: int = 1) -> ViolationReport:
         violations=violations,
         min_margin=float(min_margin),
         worst_states=worst,
-        histogram=tuple(int(c) for c in hist),
+        histogram=tuple(hist.tolist()),
     )
 
 

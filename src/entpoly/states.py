@@ -138,12 +138,25 @@ def haar_random(dims, seed: int) -> MultiQuditState:
     independent for fuzzing purposes.
     """
     dims = as_dims(dims)
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    z = rng.standard_normal(total_dim(dims)) + 1j * rng.standard_normal(total_dim(dims))
-    nrm = np.linalg.norm(z)
-    if nrm == 0.0:  # unreachable in practice, guards the division
+    return MultiQuditState(dims, _haar_draws((seed,), total_dim(dims))[0])
+
+
+def _haar_draws(seeds, size: int) -> np.ndarray:
+    """One Haar-random unit vector of length ``size`` per seed, as the rows of an array.
+
+    Row t holds the amplitudes of ``haar_random(dims, seeds[t])`` for any
+    ``dims`` of total dimension ``size``: each seed's generator draws the
+    real parts, then the imaginary parts, and the row is divided by its norm.
+    """
+    x = np.empty((len(seeds), 2, size))
+    for row, seed in zip(x, seeds):
+        np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF).standard_normal(out=row)
+    z = x[:, 0] + 1j * x[:, 1]
+    # per row, the sum np.linalg.norm forms for one complex vector
+    nrm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+    if np.count_nonzero(nrm == 0.0):  # unreachable in practice, guards the division
         raise InvalidInputError("degenerate zero sample")
-    return MultiQuditState(dims, z / nrm)
+    return z / nrm[:, None]
 
 
 # -- network composition ------------------------------------------------------

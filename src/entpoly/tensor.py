@@ -82,22 +82,26 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 
 
 def _cut_matrix(amplitudes, dims, keep) -> np.ndarray:
-    # Validated amplitudes reshaped to (kept dimension, traced dimension).
+    # Validated amplitudes reshaped to (kept dimension, traced dimension); a
+    # (T, D) batch of state vectors gives (T, kept, traced), each row validated.
     dims = as_dims(dims)
     n = len(dims)
     keep = as_sites(keep, n)
-    v = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if v.size != total_dim(dims):
+    size = math.prod(dims)
+    v = np.asarray(amplitudes, dtype=np.complex128)
+    batch = v.shape[:1] if v.ndim == 2 else ()
+    v = v.reshape(batch + (-1,))
+    if v.shape[-1] != size:
         raise InvalidInputError(
-            f"amplitude vector length {v.size} does not match the product "
-            f"of the site dimensions ({total_dim(dims)})")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise InvalidInputError(f"state is not normalized: |norm-1| = {abs(nrm - 1.0):.3e}")
+            f"amplitude vector length {v.shape[-1]} does not match the product "
+            f"of the site dimensions ({size})")
+    err = np.abs(np.sqrt(np.vecdot(v, v).real) - 1.0)
+    if np.count_nonzero(err > NORM_TOL):
+        raise InvalidInputError(f"state is not normalized: |norm-1| = {err.max():.3e}")
     traced = tuple(j for j in range(n) if j not in keep)
-    dk = math.prod(dims[j] for j in keep) if keep else 1
-    dt = math.prod(dims[j] for j in traced) if traced else 1
-    return v.reshape(dims).transpose(keep + traced).reshape(dk, dt)
+    dk = math.prod(dims[j] for j in keep)
+    axes = tuple(range(len(batch))) + tuple(len(batch) + j for j in keep + traced)
+    return v.reshape(batch + dims).transpose(axes).reshape(batch + (dk, size // dk))
 
 
 def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
@@ -106,7 +110,7 @@ def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
     Equivalent to ``partial_trace(outer(psi), dims, keep)`` but never forms
     the full projector; cost is quadratic in the kept dimension only.
     """
-    m = _cut_matrix(amplitudes, dims, keep)
+    m = _cut_matrix(np.asarray(amplitudes).reshape(-1), dims, keep)
     return m @ m.conj().T
 
 
@@ -118,11 +122,15 @@ def schmidt_spectrum(amplitudes, dims, keep) -> np.ndarray:
     Same validation as :func:`reduced_of_pure`, but no density is formed, and
     small eigenvalues keep their accuracy (a singular value of 1e-10 squares
     to 1e-20, where an eigensolver of the reduced state returns roundoff).
+
+    A 2-D ``amplitudes`` is a batch of T state vectors, one per row: every
+    row is validated, one batched SVD runs, and row t of the (T, kept) result
+    equals the spectrum of row t alone.
     """
     m = _cut_matrix(amplitudes, dims, keep)
     sv = np.linalg.svd(m, compute_uv=False)
-    w = np.zeros(m.shape[0])
-    w[m.shape[0] - sv.size:] = np.square(sv[::-1])
+    w = np.zeros(m.shape[:-1])
+    w[..., m.shape[-2] - sv.shape[-1]:] = np.square(sv[..., ::-1])
     return w
 
 

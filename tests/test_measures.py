@@ -30,6 +30,7 @@ from entpoly.states import (
     w_qutrit,
 )
 from entpoly.tensor import hermitian_eigenvalues, kron
+from entpoly.tolerances import LIMIT_TOL
 
 ALL_SPECS = [
     MeasureSpec.qconcurrence(2), MeasureSpec.qconcurrence(3.5),
@@ -125,6 +126,30 @@ def test_entropy_tokens_evaluate_the_matching_entropy():
     ]
     for spec, expected in cases:
         assert abs(value_from_spectrum(spec, w) - expected) < 1e-14
+
+
+def test_value_from_spectrum_reduces_over_the_last_axis():
+    rng = np.random.default_rng(4)
+    raw = rng.random((5, 4)) ** 3
+    raw[1, :2] = 0.0   # zero-padded spectrum of rank 2
+    raw[2, :3] = 0.0   # pure
+    raw[3, 0] = 1e-13  # below the log and rank cutoffs
+    batch = np.sort(raw / raw.sum(axis=1, keepdims=True), axis=1)
+    specs = [MeasureSpec.from_token(t, q=3.5, r=2.5, s=0.5) for t in MEASURE_TOKENS] + [
+        MeasureSpec.unified(1 + 0.5 * LIMIT_TOL, 2), MeasureSpec.unified(2, 0.5 * LIMIT_TOL),
+        MeasureSpec.tsallis(1 + 0.5 * LIMIT_TOL), MeasureSpec.renyi(0)]
+    for spec in specs:
+        values = value_from_spectrum(spec, batch)
+        assert values.shape == (5,)
+        for value, w in zip(values, batch):
+            single = value_from_spectrum(spec, w)
+            assert type(single) is float
+            assert abs(value - single) <= 1e-15
+        # any leading axes: a (2, 5, 4) stack gives (2, 5) values
+        stacked = value_from_spectrum(spec, np.stack([batch, batch]))
+        assert np.array_equal(stacked, np.stack([values, values]))
+    with pytest.raises(InvalidInputError):
+        value_from_spectrum(MeasureSpec.renyi(0), np.vstack([batch, np.zeros(4)]))
 
 
 def test_product_state_measures_zero():

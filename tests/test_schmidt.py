@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entpoly.errors import InvalidInputError
-from entpoly.measures import Bipartition, MeasureSpec, measure_pure
+from entpoly.measures import Bipartition, MeasureSpec, measure_pure, value_from_spectrum
 from entpoly.states import MultiQuditState, haar_random
 from entpoly.tensor import partial_transpose, reduced_of_pure, schmidt_spectrum
 
@@ -58,9 +58,16 @@ def make_state(family, dims, seed):
 @given(dims=dims_st, seed=seed_st, family=family_st)
 def test_spectrum_matches_reduced_state_and_other_side(dims, seed, family):
     psi = make_state(family, dims, seed % 2**32)
+    batch = np.stack([haar_random(dims, seed + 1).amplitudes, psi.amplitudes,
+                      make_state("product", dims, seed % 2**32 + 2).amplitudes])
     for side_a, side_b in all_cuts(len(dims)):
         wa = schmidt_spectrum(psi.amplitudes, dims, side_a)
         wb = schmidt_spectrum(psi.amplitudes, dims, side_b)
+        # a batch gives every row's own spectrum, bit for bit
+        rows = schmidt_spectrum(batch, dims, side_a)
+        assert rows.shape == (3, wa.size)
+        for row, amps in zip(rows, batch):
+            assert np.array_equal(row, schmidt_spectrum(amps, dims, side_a))
         assert wa.size == math.prod(dims[j] for j in side_a)
         assert np.all(wa >= 0.0) and np.all(np.diff(wa) >= 0.0)
         np.testing.assert_allclose(
@@ -86,9 +93,15 @@ def test_values_invariant_under_local_unitaries(dims, seed, family):
                                    schmidt_spectrum(psi.amplitudes, dims, side_a),
                                    atol=1e-12)
         cut = Bipartition(side_a, side_b)
+        batch = schmidt_spectrum(np.stack([rotated.amplitudes, psi.amplitudes]), dims, side_a)
         for spec in SPECS:
             a, b = measure_pure(rotated, cut, spec), measure_pure(psi, cut, spec)
             assert abs(a - b) < 1e-10
+            # the batch of both spectra evaluates row by row like the 1-D calls
+            values = value_from_spectrum(spec, batch)
+            assert values.shape == (2,)
+            for value, w in zip(values, batch):
+                assert abs(value - value_from_spectrum(spec, w)) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +123,15 @@ def test_known_spectra_and_padding():
     np.testing.assert_allclose(schmidt_spectrum(g.amplitudes, g.dims, ()), [1.0], atol=1e-15)
     full = schmidt_spectrum(g.amplitudes, g.dims, (0, 1, 2))
     assert full.size == 24 and abs(full[-1] - 1.0) < 1e-15 and not np.any(full[:-1])
+
+
+def test_batch_validates_every_row():
+    good = haar_random((2, 3), 1).amplitudes
+    short = haar_random((5,), 2).amplitudes  # normalized, one amplitude short
+    for batch in (np.stack([good, good, 2.0 * good]), np.stack([short, short])):
+        with pytest.raises(InvalidInputError):
+            schmidt_spectrum(batch, (2, 3), (0,))
+    assert schmidt_spectrum(np.stack([good, good]), (2, 3), (0,)).shape == (2, 2)
 
 
 def test_validates_like_reduced_of_pure():

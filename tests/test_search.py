@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from entpoly import search
 from entpoly.errors import InvalidInputError
-from entpoly.measures import MeasureSpec
+from entpoly.measures import MeasureSpec, marginal_vector
 from entpoly.search import (
     HIST_BINS,
     SearchConfig,
@@ -14,7 +16,7 @@ from entpoly.search import (
     report_from_json,
     report_to_json,
 )
-from entpoly.states import state_from_dict
+from entpoly.states import haar_random, state_from_dict, state_to_dict
 
 
 def test_mix64_published_convention():
@@ -53,6 +55,48 @@ def test_fuzz_serializes_only_the_reported_states(monkeypatch):
     for entry in report.worst_states:
         assert entry.state == real(search.haar_random(cfg.dims, entry.seed))
         assert entry.seed == mix64(cfg.seed, entry.trial)
+
+
+def test_fuzz_polygon_blocks_do_not_change_the_report(monkeypatch):
+    cfg = SearchConfig(dims=(2, 3, 2), spec=MeasureSpec.unified(2, 1), trials=10, seed=17)
+    single = report_to_json(fuzz_polygon(cfg))  # all ten trials in one block
+    for per_block in (1, 3):
+        monkeypatch.setattr(search, "BLOCK_AMPLITUDES", 12 * per_block)
+        for workers in (1, 2, 3):
+            assert report_to_json(fuzz_polygon(cfg, workers=workers)) == single
+
+
+@pytest.mark.parametrize("dims, spec", [
+    ((5, 2, 2), MeasureSpec.negativity()),  # site 0 is reduced on the other side
+    ((2, 3, 4), MeasureSpec.unified(2, 1)),
+    ((3, 3, 3), MeasureSpec.concurrence()),
+])
+def test_block_margins_match_per_state_marginals(monkeypatch, dims, spec):
+    trials = 12
+    monkeypatch.setattr(search, "BLOCK_AMPLITUDES", 5 * math.prod(dims))
+    cfg = SearchConfig(dims=dims, spec=spec, trials=trials, seed=29, record_worst=trials)
+    report = fuzz_polygon(cfg)
+    lo, hi = report.histogram_range
+    hist = [0] * HIST_BINS
+    violations = 0
+    lows = {}
+    for t in range(trials):
+        mv = marginal_vector(haar_random(dims, mix64(cfg.seed, t)), spec)
+        margins = np.sum(mv) - 2.0 * mv
+        violations += int(np.count_nonzero(margins < -cfg.tol))
+        for m in margins:
+            hist[min(max(int((m - lo) / (hi - lo) * HIST_BINS), 0), HIST_BINS - 1)] += 1
+        lows[t] = (float(np.min(margins)), int(np.argmin(margins)))
+    assert list(report.histogram) == hist
+    assert report.violations == violations
+    # every trial is recorded: its seed, worst site, margin and state
+    assert sorted(w.trial for w in report.worst_states) == list(range(trials))
+    for w in report.worst_states:
+        assert w.seed == mix64(cfg.seed, w.trial)
+        assert abs(w.margin - lows[w.trial][0]) <= 1e-12
+        assert w.site == lows[w.trial][1]
+        assert w.state == state_to_dict(haar_random(dims, w.seed))
+    assert abs(report.min_margin - min(m for m, _ in lows.values())) <= 1e-12
 
 
 def test_fuzz_polygon_deterministic_and_worker_independent():
