@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .entropies import EntropyParams, _value, density_spectrum
+from .entropies import EntropyParams, _value
 from .errors import InvalidInputError, UnsupportedMeasureError
 from .states import MultiQuditState, NetworkState
 from .tensor import as_sites, schmidt_spectrum
@@ -259,19 +259,19 @@ def total_entanglement(mv) -> float:
 def measure_network(net: NetworkState, party_cut: Bipartition, spec: MeasureSpec) -> float:
     """Entropy-based measure of a network state across a cut over parties.
 
-    Evaluates the entropy of the reduced density on the ``side_a`` parties,
-    which for product networks is the marginal quantity the polygon
-    inequalities constrain; on pure networks it agrees with
-    :func:`measure_pure`.  Concurrence and negativity would need a convex
-    roof on mixed networks and are rejected.
+    Evaluates the entropy of the spectrum of the reduction onto the
+    ``side_a`` parties, which :meth:`NetworkState.spectrum` takes as a product
+    of per-resource spectra without forming a density.  For product networks
+    this is the marginal quantity the polygon inequalities constrain; on pure
+    networks it agrees with :func:`measure_pure`.  Concurrence and negativity
+    would need a convex roof on mixed networks and are rejected.
     """
     if not spec.is_entropy_based:
         raise UnsupportedMeasureError(
             f"{spec.kind} on a (generally mixed) network state needs a convex roof; "
             "only entropy-based measures are supported")
     party_cut.validate_for(net.num_parties)
-    rho_a = net.reduced(party_cut.side_a)
-    return spec.entropy_params().of_spectrum(density_spectrum(rho_a))
+    return spec.entropy_params().of_spectrum(net.spectrum(party_cut.side_a))
 
 
 def network_marginal_vector(net: NetworkState, spec: MeasureSpec) -> np.ndarray:

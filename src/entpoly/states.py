@@ -2,19 +2,25 @@
 
 A pure state is a :class:`MultiQuditState`; an entanglement network built
 from two-party and multi-party resources is composed into a
-:class:`NetworkState` density matrix whose sites are grouped per party.
+:class:`NetworkState` whose sites are grouped per party.  A network is
+stored as its resources: the spectrum of any party reduction is the product
+of small per-resource spectra, and the dense density is built only when
+accessed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor import as_dims, is_hermitian, kron, partial_trace, reduced_of_pure, total_dim
+from .tensor import (
+    as_dims, as_sites, is_hermitian, kron, partial_trace, reduced_of_pure, total_dim)
 from .tolerances import NORM_LOAD_TOL, NORM_TOL, TRACE_TOL
 
 
@@ -162,9 +168,18 @@ def _haar_draws(seeds, size: int) -> np.ndarray:
 # -- network composition ------------------------------------------------------
 
 RESOURCE_KINDS = ("epr", "ghz", "ghz_diag")
-# Largest total dimension composed densely: a 2^12 x 2^12 complex density is
-# 256 MiB, and composing it holds a few such arrays at once.
+# Largest total dimension accepted, so that the dense density stays buildable:
+# a 2^12 x 2^12 complex density is 256 MiB, and building it holds a few such
+# arrays at once.
 MAX_NETWORK_DIM = 2**12
+
+
+def _as_int(value, what: str) -> int:
+    # an integral value (int, numpy integer), never a float or a string
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -181,9 +196,15 @@ class Resource:
     d: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "parties", tuple(int(p) for p in self.parties))
         if self.kind not in RESOURCE_KINDS:
             raise InvalidInputError(f"unknown resource kind {self.kind!r}")
+        try:
+            parties = tuple(self.parties)
+        except TypeError:
+            raise InvalidInputError(
+                f"resource parties must be a sequence, got {self.parties!r}") from None
+        object.__setattr__(self, "parties", tuple(_as_int(p, "party index") for p in parties))
+        object.__setattr__(self, "d", _as_int(self.d, "resource dimension"))
         if self.d < 2:
             raise InvalidInputError("resource dimension must be >= 2")
         want = 2 if self.kind in ("epr", "ghz_diag") else len(self.parties)
@@ -218,6 +239,22 @@ class Resource:
             return rho
         return ghz(self.d, len(self.parties)).density()
 
+    def spectrum(self, kept) -> np.ndarray:
+        """Ascending spectrum of the resource reduced to the particles flagged in ``kept``.
+
+        ``kept`` holds one flag per particle.  A pure resource kept whole is
+        pure; every other nonempty reduction (a cut GHZ state, either part of
+        a GHZ-diagonal pair) is uniform of rank d.  Zero-padded to the kept
+        dimension; keeping nothing gives ``[1]``.
+        """
+        k = sum(kept)
+        if k == 0:
+            return np.ones(1)
+        rank = 1 if self.kind != "ghz_diag" and k == len(self.parties) else self.d
+        w = np.zeros(self.d**k)
+        w[-rank:] = 1.0 / rank
+        return w
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -227,12 +264,15 @@ class NetworkSpec:
     resources: tuple[Resource, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "parties", _as_int(self.parties, "party count"))
         object.__setattr__(self, "resources", tuple(self.resources))
         if self.parties < 2:
             raise InvalidInputError("a network needs at least 2 parties")
         if not self.resources:
             raise InvalidInputError("a network needs at least one resource")
         for res in self.resources:
+            if not isinstance(res, Resource):
+                raise InvalidInputError(f"network resources must be Resource objects, got {res!r}")
             if any(p < 0 or p >= self.parties for p in res.parties):
                 raise InvalidInputError(
                     f"resource references a party outside 0..{self.parties - 1}: "
@@ -241,42 +281,78 @@ class NetworkSpec:
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
-    """Composed network density matrix with one composite site per party."""
+    """A composed network, stored as its resources, with one composite site per party.
 
-    density: np.ndarray
+    ``owners`` is the owning party of each particle in resource declaration
+    order, and ``party_dims`` the composite dimension of each party.  No
+    density is stored: :meth:`spectrum` multiplies per-resource spectra.  The
+    dense :attr:`density` is built on first access; no measure uses it.
+    Built by :func:`compose_network`, which validates the spec.
+    """
+
+    spec: NetworkSpec
     party_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = as_dims(self.party_dims)
-        rho = np.asarray(self.density, dtype=np.complex128)
-        if rho.shape != (total_dim(dims),) * 2:
-            raise InvalidInputError("density shape does not match party dimensions")
-        if not is_hermitian(rho):
-            raise InvalidInputError("network density is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
-            raise InvalidInputError("network density does not have unit trace")
-        rho = rho.copy()
-        rho.flags.writeable = False
-        object.__setattr__(self, "density", rho)
-        object.__setattr__(self, "party_dims", dims)
+    owners: tuple[int, ...]
 
     @property
     def num_parties(self) -> int:
         return len(self.party_dims)
 
+    def spectrum(self, parties) -> np.ndarray:
+        """Ascending spectrum of the reduced state on ``parties``, zero-padded to its dimension.
+
+        The reduction of a product of resources is the product of each
+        resource's reduction on its kept particles, so its spectrum is the
+        product of their spectra; no density is formed.
+        """
+        keep = as_sites(parties, self.num_parties)
+        w = np.ones(1)
+        for res in self.spec.resources:
+            w = np.multiply.outer(w, res.spectrum([p in keep for p in res.parties])).ravel()
+        return np.sort(w)
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """Dense density with each party's particles contiguous (party 0 first).
+
+        Particles keep their resource declaration order within a party.  Built
+        once, on first access: the reference the factored :meth:`spectrum` is
+        tested against.
+        """
+        dims = [d for res in self.spec.resources for d in res.site_dims()]
+        rho = np.ones((1, 1), dtype=np.complex128)
+        for res in self.spec.resources:
+            rho = kron(rho, res.density())
+        n, d = len(dims), rho.shape[0]
+        # stable sort: per-party site order follows resource declaration order
+        perm = sorted(range(n), key=lambda k: self.owners[k])
+        rho = rho.reshape(tuple(dims) * 2)
+        rho = rho.transpose(tuple(perm) + tuple(n + k for k in perm)).reshape(d, d)
+        rho += rho.conj().T
+        rho *= 0.5
+        if not is_hermitian(rho):
+            raise InvalidInputError("network density is not Hermitian")
+        if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
+            raise InvalidInputError("network density does not have unit trace")
+        rho.flags.writeable = False
+        return rho
+
     def reduced(self, keep_parties) -> np.ndarray:
+        """Dense reduced density on ``keep_parties`` (builds :attr:`density`)."""
         return partial_trace(self.density, self.party_dims, keep_parties)
 
 
 def compose_network(spec: NetworkSpec) -> NetworkState:
-    """Tensor all resources together and group sites by owning party.
+    """Group the particles of all resources by owning party, without forming a density.
 
-    Particles are physically reordered so each party's subsystems are
-    contiguous (party 0 first); ``party_dims`` records the resulting
-    composite dimension per party.  Every party must hold at least one
-    particle, and the total dimension may not exceed ``MAX_NETWORK_DIM``.
+    Party p's composite site is its particles in resource declaration order;
+    ``party_dims`` records the resulting composite dimension per party.  Every
+    party must hold at least one particle, and the total dimension may not
+    exceed ``MAX_NETWORK_DIM``.
     """
-    owners = [p for res in spec.resources for p in res.parties]
+    if not isinstance(spec, NetworkSpec):
+        raise InvalidInputError(f"expected a NetworkSpec, got {spec!r}")
+    owners = tuple(p for res in spec.resources for p in res.parties)
     dims = [d for res in spec.resources for d in res.site_dims()]
     for p in range(spec.parties):
         if p not in owners:
@@ -286,19 +362,9 @@ def compose_network(spec: NetworkSpec) -> NetworkState:
         raise InvalidInputError(
             f"network total dimension {d} exceeds the dense limit {MAX_NETWORK_DIM}: "
             f"its density alone would take {16 * d * d / 2**30:.3g} GiB")
-    rho = np.ones((1, 1), dtype=np.complex128)
-    for res in spec.resources:
-        rho = kron(rho, res.density())
-    n = len(dims)
-    # stable sort: per-party site order follows resource declaration order
-    perm = sorted(range(n), key=lambda k: owners[k])
-    rho = rho.reshape(tuple(dims) * 2)
-    rho = rho.transpose(tuple(perm) + tuple(n + k for k in perm)).reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    party_dims = []
-    for p in range(spec.parties):
-        party_dims.append(math.prod(dims[k] for k in range(n) if owners[k] == p))
-    return NetworkState(rho, tuple(party_dims))
+    party_dims = tuple(math.prod(dims[k] for k in range(len(dims)) if owners[k] == p)
+                       for p in range(spec.parties))
+    return NetworkState(spec, party_dims, owners)
 
 
 # -- state file format --------------------------------------------------------

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entpoly.entropies import f_q, renyi, tsallis, unified_entropy, von_neumann
+from entpoly.entropies import density_spectrum, f_q, renyi, tsallis, unified_entropy, von_neumann
 from entpoly.errors import InvalidInputError, UnsupportedMeasureError
 from entpoly.measures import (
     MEASURE_TOKENS,
@@ -322,3 +325,53 @@ def test_measure_network_rejects_convex_roof_measures():
     for spec in (MeasureSpec.concurrence(), MeasureSpec.negativity()):
         with pytest.raises(UnsupportedMeasureError):
             measure_network(net, Bipartition.of((0,), 2), spec)
+
+
+@st.composite
+def small_networks(draw):
+    """A network of EPR, GHZ and GHZ-diagonal resources of total dimension <= 2^8.
+
+    Resources draw owners from five labels, and a resource that would exceed
+    2^8 ends the list; the labels in use are renumbered 0..n-1, so every
+    party holds a particle.
+    """
+    drawn, dim = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("epr", "ghz", "ghz_diag")))
+        d = 2 if kind == "epr" else draw(st.integers(2, 3))
+        k = draw(st.integers(2, 4)) if kind == "ghz" else 2
+        if dim * d**k > 2**8:
+            break
+        dim *= d**k
+        drawn.append((kind, tuple(draw(st.permutations(range(5)))[:k]), d))
+    label = {p: i for i, p in enumerate(sorted({p for _, owners, _ in drawn for p in owners}))}
+    resources = tuple(Resource(kind, tuple(label[p] for p in owners), d)
+                      for kind, owners, d in drawn)
+    return compose_network(NetworkSpec(len(label), resources))
+
+
+NETWORK_SPECS = [
+    MeasureSpec.qconcurrence(2), MeasureSpec.qconcurrence(3.5), MeasureSpec.eof(),
+    MeasureSpec.tsallis(2.5), MeasureSpec.tsallis(1 + LIMIT_TOL / 2),
+    MeasureSpec.unified(2, 1), MeasureSpec.unified(1.5, 0.5),
+    MeasureSpec.unified(1 + LIMIT_TOL / 2, 0.5), MeasureSpec.unified(3, LIMIT_TOL / 2),
+    # Renyi r in (0, 1) is left out: it lifts the dense oracle's ~1e-17
+    # roundoff eigenvalues to ~1e-8, where the factored spectrum has exact zeros
+    MeasureSpec.renyi(0), MeasureSpec.renyi(2), MeasureSpec.renyi(3),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=small_networks())
+def test_factored_network_spectrum_matches_dense_oracle(net):
+    n = net.num_parties
+    for size in range(1, n):
+        for side in itertools.combinations(range(n), size):
+            dense = density_spectrum(net.reduced(side))
+            got = net.spectrum(side)
+            assert got.shape == dense.shape == (math.prod(net.party_dims[p] for p in side),)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+            cut = Bipartition.of(side, n)
+            for spec in NETWORK_SPECS:
+                assert abs(measure_network(net, cut, spec)
+                           - spec.entropy_params().of_spectrum(dense)) < 1e-12, spec

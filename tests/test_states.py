@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entpoly.errors import InvalidInputError
+from entpoly.measures import MeasureSpec, network_marginal_vector
 from entpoly.states import (
     MAX_NETWORK_DIM,
     NetworkSpec,
@@ -201,6 +203,48 @@ def test_compose_network_errors():
         NetworkSpec(2, ())
     with pytest.raises(InvalidInputError):
         NetworkSpec(1, (Resource.epr(0, 1),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Resource("ghz", (0, 1), 2.5),            # fractional dimension
+    lambda: Resource("ghz_diag", (0, 1), "3"),       # dimension given as text
+    lambda: Resource("epr", (0.7, 1)),               # fractional party index
+    lambda: Resource("epr", 5),                      # parties not a sequence
+    lambda: NetworkSpec(2.5, (Resource.epr(0, 1),)),  # fractional party count
+    lambda: NetworkSpec(2, ("x",)),                  # entry that is not a Resource
+    lambda: compose_network((2, (Resource.epr(0, 1),))),  # not a NetworkSpec
+], ids=["d", "d-text", "party", "parties-scalar", "party-count", "resource-entry", "spec"])
+def test_network_inputs_must_be_integral_resources(build):
+    with pytest.raises(InvalidInputError):
+        build()
+
+
+def test_network_inputs_accept_numpy_integers():
+    res = Resource("ghz", (np.int64(0), np.int32(2)), np.int64(3))
+    assert res.parties == (0, 2) and res.d == 3 and type(res.d) is int
+    assert NetworkSpec(np.int64(3), (res, Resource.epr(1, 2))).parties == 3
+
+
+def test_network_measures_never_build_the_density():
+    # n = 4 complete EPR graph, total dimension 2^12: its density is 256 MiB
+    pairs = tuple(Resource.epr(i, j) for i in range(4) for j in range(i + 1, 4))
+    tracemalloc.start()
+    try:
+        net = compose_network(NetworkSpec(4, pairs))
+        # every party holds 3 EPR halves, so its marginal is I/8, where both
+        # measures are 1 - Tr(rho^2)
+        for spec in (MeasureSpec.qconcurrence(2), MeasureSpec.unified(2, 1)):
+            np.testing.assert_allclose(
+                network_marginal_vector(net, spec), 1 - 2.0**-3, atol=1e-15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "density" not in vars(net)
+    rho = net.density
+    assert rho.shape == (4096, 4096) and net.density is rho  # built once
+    assert abs(np.trace(rho).real - 1.0) < 1e-9
+    assert np.array_equal(rho, rho.conj().T)
 
 
 def test_state_file_roundtrip(tmp_path):
