@@ -1,6 +1,7 @@
 """Command-line front end; all output is deterministic machine-readable CSV.
 
-Exit codes: 0 success, 1 usage error, 2 bad numerical input, 3 when a
+Exit codes: 0 success, 1 usage error, 2 bad numerical input (or a LAPACK
+routine that did not converge), 3 when a
 ``check`` run finds a violated inequality (fuzz reports violations as data
 and still exits 0).
 """
@@ -10,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .inequalities import (
@@ -288,7 +291,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidInputError, OSError) as exc:
+    except (InvalidInputError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

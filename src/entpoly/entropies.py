@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .tensor import hermitian_eigenvalues
-from .tolerances import LIMIT_TOL, LOG_EPS, PSD_TOL, RANK_TOL, TRACE_TOL
+from .tolerances import EIG_RANK_EPS, LIMIT_TOL, LOG_EPS, PSD_TOL, RANK_TOL, TRACE_TOL
 
 
 def density_spectrum(rho) -> np.ndarray:
@@ -41,7 +41,8 @@ def density_spectrum(rho) -> np.ndarray:
 
     Rejects non-Hermitian input, trace away from 1, and eigenvalues below
     ``-PSD_TOL``; eigenvalues in [-PSD_TOL, 0) are treated as roundoff and
-    clipped to 0.
+    clipped to 0.  Eigenvalues at or below ``dim * EIG_RANK_EPS * max`` are
+    roundoff, which orders r < 1 would lift far above roundoff: they become 0.
     """
     vals = hermitian_eigenvalues(rho)
     if abs(float(np.sum(vals)) - 1.0) > TRACE_TOL:
@@ -49,7 +50,9 @@ def density_spectrum(rho) -> np.ndarray:
     if float(vals[0]) < -PSD_TOL:
         raise InvalidInputError(
             f"matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
-    return np.clip(vals, 0.0, None)
+    vals = np.clip(vals, 0.0, None)
+    vals[vals <= vals.size * EIG_RANK_EPS * vals[-1]] = 0.0
+    return vals
 
 
 def _value(x):

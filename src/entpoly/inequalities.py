@@ -1,7 +1,10 @@
 """Polygon, triangle and bipartition inequality checkers plus indicators.
 
 A violated inequality is returned as data, never raised: the randomized
-search treats the satisfied/violated status as an observation.
+search treats the satisfied/violated status as an observation.  Each of
+:func:`polygon_margins`, :func:`renyi_mixed_bounds` (both over a block of
+states) and :func:`bipartition_margins` makes one
+:func:`~entpoly.measures.cut_values` call; the other checks reduce theirs.
 """
 
 from __future__ import annotations
@@ -13,16 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .measures import (
-    Bipartition,
-    MeasureSpec,
-    cut_spectrum,
-    marginal_vector,
-    marginal_vector_from_spectra,
-    site_spectra,
-    value_from_spectrum,
-)
-from .entropies import renyi0_from_spectrum, renyi_from_spectrum
+from .measures import Bipartition, MeasureSpec, cut_values, site_spectra
 from .states import MultiQuditState
 from .tolerances import DEFAULT_TOL
 
@@ -78,6 +72,22 @@ def triangle_check(mv, i: int, tol: float = DEFAULT_TOL):
     return lower, upper
 
 
+def renyi_mixed_bounds(amplitudes, dims, r: float):
+    """Both sides of :func:`renyi_mixed_check` for a (T, D) block of three-site states.
+
+    lhs and rhs are (T, 3, 2): [t, i, 0] is site i's lower bound, [t, i, 1] its upper.
+    """
+    if len(dims) != 3:
+        raise InvalidInputError("renyi_mixed_check needs a three-site state")
+    # MeasureSpec.renyi raises outside the renyi measure's domain
+    values = cut_values(amplitudes, dims, [MeasureSpec.renyi(r), MeasureSpec.renyi(0)],
+                        [(0,), (1,), (2,)])
+    rr, r0 = values[:, 0], values[:, 1]
+    j, k = [1, 0, 0], [2, 2, 1]  # the remaining sites j < k of each site i
+    return (np.stack([rr[:, j] - r0[:, k], rr], axis=-1),
+            np.stack([rr, rr[:, j] + r0[:, k]], axis=-1))
+
+
 def renyi_mixed_check(psi: MultiQuditState, i: int, r: float,
                       tol: float = DEFAULT_TOL):
     """Renyi triangle bounds mixing order r with the log-rank entropy.
@@ -90,19 +100,11 @@ def renyi_mixed_check(psi: MultiQuditState, i: int, r: float,
     genuinely violated on heterogeneous site dimensions (the log-rank term
     can exceed both Renyi terms).
     """
-    MeasureSpec.renyi(r)  # raises outside the renyi measure's domain
-    if psi.num_sites != 3:
-        raise InvalidInputError("renyi_mixed_check needs a three-site state")
     if i < 0 or i > 2:
         raise InvalidInputError(f"site {i} out of range for a three-site state")
-    spectra = site_spectra(psi)
-    j, k = [t for t in range(3) if t != i]
-    r_i = renyi_from_spectrum(spectra[i], r)
-    r_j = renyi_from_spectrum(spectra[j], r)
-    r0_k = renyi0_from_spectrum(spectra[k])
-    lower = InequalityResult.of(r_j - r0_k, r_i, tol)
-    upper = InequalityResult.of(r_i, r_j + r0_k, tol)
-    return lower, upper
+    lhs, rhs = renyi_mixed_bounds(psi.amplitudes[None], psi.dims, r)
+    return tuple(InequalityResult.of(float(lhs[0, i, b]), float(rhs[0, i, b]), tol)
+                 for b in (0, 1))
 
 
 def bipartition_check(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec,
@@ -110,40 +112,36 @@ def bipartition_check(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec,
     """Cut measure <= sum of one-to-group marginals over the side_a sites."""
     if not spec.is_entropy_based:
         raise InvalidInputError("bipartition_check needs an entropy-based measure")
-    cut.validate_for(psi.num_sites)
-    lhs = value_from_spectrum(spec, cut_spectrum(psi, cut))
-    mv = marginal_vector(psi, spec)
-    rhs = float(sum(mv[j] for j in cut.side_a))
-    return InequalityResult.of(lhs, rhs, tol)
+    return bipartition_margins(psi, [cut], [spec], tol)[0][0]
 
 
 def bipartition_margins(psi: MultiQuditState, cuts, specs,
                         tol: float = DEFAULT_TOL) -> list[list[InequalityResult]]:
     """Batch form of :func:`bipartition_check`: results[cut_index][spec_index].
 
-    Computes each cut spectrum and the single-site spectra once and reuses
-    them across specs, which is what the fuzz suites need.
+    One :func:`~entpoly.measures.cut_values` call serves every site, cut and
+    spec, so each distinct reduced side is computed once.
     """
-    spectra = site_spectra(psi)
-    mvs = [marginal_vector_from_spectra(spectra, spec) for spec in specs]
-    out = []
+    cuts, n = list(cuts), psi.num_sites
     for cut in cuts:
-        w = cut_spectrum(psi, cut)
-        row = []
-        for spec, mv in zip(specs, mvs):
-            lhs = value_from_spectrum(spec, w)
-            rhs = float(sum(mv[j] for j in cut.side_a))
-            row.append(InequalityResult.of(lhs, rhs, tol))
-        out.append(row)
-    return out
+        cut.validate_for(n)
+    values = cut_values(psi.amplitudes[None], psi.dims, specs,
+                        [(j,) for j in range(n)] + [cut.side_a for cut in cuts])[0]
+    return [[InequalityResult.of(float(row[n + c]), float(sum(row[j] for j in cut.side_a)), tol)
+             for row in values] for c, cut in enumerate(cuts)]
+
+
+def polygon_margins(amplitudes, dims, spec: MeasureSpec) -> np.ndarray:
+    """Polygon slack sum_{k!=j} E_k - E_j of every site j of every row: a (T, n) array."""
+    mv = cut_values(amplitudes, dims, [spec], [(j,) for j in range(len(dims))])[:, 0]
+    return mv.sum(axis=-1, keepdims=True) - 2.0 * mv
 
 
 def tau_indicator(psi: MultiQuditState, spec: MeasureSpec) -> IndicatorResult:
     """Minimum polygon slack over all sites: min_j (sum_{k!=j} E_k - E_j)."""
     if psi.num_sites < 2:
         raise InvalidInputError("the indicator needs at least 2 sites")
-    mv = marginal_vector(psi, spec)
-    slacks = float(np.sum(mv)) - 2.0 * mv
+    slacks = polygon_margins(psi.amplitudes[None], psi.dims, spec)[0]
     j = int(np.argmin(slacks))
     return IndicatorResult(float(slacks[j]), j)
 
@@ -173,15 +171,9 @@ def tau_hat_indicator(psi: MultiQuditState, cuts, spec: MeasureSpec) -> Indicato
     cuts = list(cuts)
     if not cuts:
         raise InvalidInputError("tau_hat_indicator needs at least one cut")
-    mv = marginal_vector(psi, spec)
-    best_val, best_idx = None, -1
-    for idx, cut in enumerate(cuts):
-        cut.validate_for(psi.num_sites)
-        lhs = value_from_spectrum(spec, cut_spectrum(psi, cut))
-        slack = float(sum(mv[j] for j in cut.side_a)) - lhs
-        if best_val is None or slack < best_val:
-            best_val, best_idx = slack, idx
-    return IndicatorResult(best_val, best_idx)
+    slacks = [row[0].margin for row in bipartition_margins(psi, cuts, [spec])]
+    idx = int(np.argmin(slacks))
+    return IndicatorResult(slacks[idx], idx)
 
 
 def product_structure_oracle(psi: MultiQuditState, tol: float = DEFAULT_TOL) -> bool:

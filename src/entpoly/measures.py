@@ -9,6 +9,8 @@ negativity, (trace_norm(partial transpose) - 1) / 2, equals
 
 :class:`MeasureSpec` validates, parses and labels through ``_MEASURE_TABLE``
 alone: each token's entropy kind, parameter names and parameter domain.
+:func:`cut_values` evaluates pure states a (T, D) block at a time; the
+scalar functions are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .entropies import EntropyParams, _value
 from .errors import InvalidInputError, UnsupportedMeasureError
 from .states import MultiQuditState, NetworkState
-from .tensor import as_sites, schmidt_spectrum
+from .tensor import _cut_spectrum, _pure_block, as_dims, as_sites
 from .tolerances import LIMIT_TOL
 
 
@@ -188,38 +190,45 @@ class MeasureSpec:
         return self.kind + (f"({','.join(args)})" if args else "")
 
 
-def cut_spectrum(psi: MultiQuditState, cut: Bipartition) -> np.ndarray:
-    """Ascending spectrum of the reduced state across a cut.
+def _reduced_spectra(amplitudes, dims, sides):
+    # The distinct (T, d) spectra of a validated (T, D) block, and each side's index
+    # into them.  A side reduces to itself or its complement, whichever is smaller
+    # (itself on a tie): both share their nonzero spectrum, all a measure uses.
+    dims = as_dims(dims)
+    if np.ndim(amplitudes) != 2:
+        raise InvalidInputError(f"expected a (T, D) amplitude block, got {np.shape(amplitudes)}")
+    n, total = len(dims), math.prod(dims)
+    keeps: dict[tuple[int, ...], int] = {}
+    index = []
+    for side in sides:
+        a = as_sites(side, n)
+        da = math.prod(dims[j] for j in a)
+        keep = a if da * da <= total else tuple(j for j in range(n) if j not in a)
+        index.append(keeps.setdefault(keep, len(keeps)))
+    block = _pure_block(amplitudes, dims)
+    return [_cut_spectrum(block, dims, keep) for keep in keeps], index
 
-    Taken on the smaller side of the cut: for a pure state both reduced
-    states share their nonzero spectrum, and every measure here depends only
-    on that part.
+
+def cut_values(amplitudes, dims, specs, sides) -> np.ndarray:
+    """Every spec across every cut of a (T, D) block of pure states: a (T, specs, sides) array.
+
+    Entry [t, i, k] is ``specs[i]`` of row t across the cut ``sides[k]`` |
+    rest.  The block is validated once and one batched SVD runs per distinct
+    reduced side.
     """
-    cut.validate_for(psi.num_sites)
-    return sites_spectrum(psi, _smaller_side(psi.dims, cut.side_a, cut.side_b))
-
-
-def _smaller_side(dims, side_a, side_b) -> tuple[int, ...]:
-    # the side of a cut with the smaller dimension, side a on a tie
-    da = math.prod(dims[j] for j in side_a)
-    db = math.prod(dims[j] for j in side_b)
-    return side_a if da <= db else side_b
-
-
-def _site_sides(dims) -> list[tuple[int, ...]]:
-    # for every site j, the side of the cut j | rest that cut_spectrum reduces to
-    n = len(dims)
-    return [_smaller_side(dims, (j,), tuple(k for k in range(n) if k != j)) for j in range(n)]
-
-
-def sites_spectrum(psi: MultiQuditState, sites) -> np.ndarray:
-    """Ascending spectrum of the reduced state on the given sites (one SVD)."""
-    return schmidt_spectrum(psi.amplitudes, psi.dims, sites)
+    spectra, index = _reduced_spectra(amplitudes, dims, sides)
+    values = np.empty((len(amplitudes), len(specs), len(spectra)))
+    for k, w in enumerate(spectra):
+        for i, spec in enumerate(specs):
+            values[:, i, k] = value_from_spectrum(spec, w)
+    return values[..., index]
 
 
 def site_spectra(psi: MultiQuditState) -> list[np.ndarray]:
-    """Spectrum of every single-site marginal, smaller-side shortcut included."""
-    return [sites_spectrum(psi, side) for side in _site_sides(psi.dims)]
+    """Spectrum of every single-site marginal, each taken on the smaller side of its cut."""
+    spectra, index = _reduced_spectra(
+        psi.amplitudes[None], psi.dims, [(j,) for j in range(psi.num_sites)])
+    return [spectra[k][0] for k in index]
 
 
 def value_from_spectrum(spec: MeasureSpec, w: np.ndarray):
@@ -238,12 +247,14 @@ def value_from_spectrum(spec: MeasureSpec, w: np.ndarray):
 
 def measure_pure(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec) -> float:
     """Entanglement of a pure state across a cut, per the given measure."""
-    return value_from_spectrum(spec, cut_spectrum(psi, cut))
+    cut.validate_for(psi.num_sites)
+    return float(cut_values(psi.amplitudes[None], psi.dims, [spec], [cut.side_a])[0, 0, 0])
 
 
 def marginal_vector(psi: MultiQuditState, spec: MeasureSpec) -> np.ndarray:
     """One-to-group marginal entanglement for every site j (cut j vs rest)."""
-    return marginal_vector_from_spectra(site_spectra(psi), spec)
+    sites = [(j,) for j in range(psi.num_sites)]
+    return cut_values(psi.amplitudes[None], psi.dims, [spec], sites)[0, 0]
 
 
 def marginal_vector_from_spectra(spectra, spec: MeasureSpec) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Built-in reference scenarios with closed-form cross-checks.
 
 Every target recomputes known closed-form values side by side with the
-direct numerical path and reports the absolute differences; ``table1`` runs
-a seeded fuzz per measure row instead and reports observed violation
-counts.  All output is deterministic given the flags and seed.
+direct numerical path (for the figures, :func:`~entpoly.search.grid_scan`)
+and reports the absolute differences; ``table1`` runs a seeded fuzz per
+measure row instead.  All output is deterministic given the flags and seed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .inequalities import renyi_mixed_check, tau_hat_indicator, tau_indicator
+from .inequalities import renyi_mixed_bounds, tau_hat_indicator, tau_indicator
 from .measures import (
     Bipartition,
     MeasureSpec,
@@ -22,14 +22,13 @@ from .measures import (
     network_marginal_vector,
     total_entanglement,
 )
-from .search import SearchConfig, fuzz_polygon, mix64
+from .search import SearchConfig, fuzz_polygon, grid_scan, mix64, trial_blocks
 from .states import (
     NetworkSpec,
     Resource,
     compose_network,
     generalized_ghz3,
     ghz,
-    haar_random,
     star4,
     w_qutrit,
 )
@@ -97,6 +96,8 @@ def _ghzg_lams(theta: float, phi: float) -> tuple[float, float, float]:
 
 def example1(grid: int = 5, **_):
     """Three-qutrit angle family: EOF marginals and the vanishing points."""
+    if grid < 1:
+        raise InvalidInputError(f"grid must be >= 1, got {grid}")
     sheet = _Sheet()
     eof = MeasureSpec.eof()
     for theta in np.linspace(0.0, math.pi, grid):
@@ -271,56 +272,40 @@ def example6(q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
     return sheet.result()
 
 
-def fig2(grid: int = 100, **_):
-    """tau_EOF surface of the three-qutrit angle family on a grid."""
-    eof = MeasureSpec.eof()
+def _scan_target(family, grid, spec, closed, header):
+    # grid_scan rows beside their closed form (a function of the two parameters)
     rows = []
     max_diff = 0.0
     min_value = math.inf
-    for theta in np.linspace(0.0, math.pi, int(grid)):
-        for phi in np.linspace(0.0, 2.0 * math.pi, int(grid)):
-            psi = generalized_ghz3(float(theta), float(phi))
-            value = tau_indicator(psi, eof).value
-            closed = _vn_bits(_ghzg_lams(float(theta), float(phi)))
-            max_diff = max(max_diff, abs(value - closed))
-            min_value = min(min_value, value)
-            rows.append([_fmt(float(theta)), _fmt(float(phi)), _fmt(value)])
-    footers = [f"# max_abs_diff = {_fmt(max_diff)}",
-               f"# min_value = {_fmt(min_value)}"]
-    return ["theta", "phi", "tau_eof"], rows, footers, max_diff
+    for a, b, value in grid_scan(family, int(grid), spec):
+        max_diff = max(max_diff, abs(value - closed(a, b)))
+        min_value = min(min_value, value)
+        rows.append([_fmt(a), _fmt(b), _fmt(value)])
+    footers = [f"# max_abs_diff = {_fmt(max_diff)}", f"# min_value = {_fmt(min_value)}"]
+    return header, rows, footers, max_diff
+
+
+def fig2(grid: int = 100, **_):
+    """tau_EOF surface of the three-qutrit angle family on a grid."""
+    return _scan_target("generalized_ghz3", grid, MeasureSpec.eof(),
+                        lambda theta, phi: _vn_bits(_ghzg_lams(theta, phi)),
+                        ["theta", "phi", "tau_eof"])
 
 
 def fig4a(grid: int = 50, **_):
     """Hub-state tau-hat against the concurrence order q."""
-    psi = star4()
-    rows = []
-    max_diff = 0.0
-    for q in np.linspace(2.0, 9.0, int(grid)):
-        spec = MeasureSpec.qconcurrence(float(q))
-        value = tau_hat_indicator(psi, None, spec).value
-        closed = _star4_closed_tau_hat(spec)
-        max_diff = max(max_diff, abs(value - closed))
-        rows.append([_fmt(float(q)), _fmt(0.0), _fmt(value)])
-    return ["q", "unused", "tau_hat_qconc"], rows, [f"# max_abs_diff = {_fmt(max_diff)}"], max_diff
+    header, rows, footers, max_diff = _scan_target(
+        "star4", grid, MeasureSpec.qconcurrence(2),
+        lambda q, _: _star4_closed_tau_hat(MeasureSpec.qconcurrence(q)),
+        ["q", "unused", "tau_hat_qconc"])
+    return header, rows, footers[:1], max_diff  # no min_value footer
 
 
 def fig4b(grid: int = 25, **_):
     """Hub-state tau-hat over the unified-entropy parameter box."""
-    psi = star4()
-    rows = []
-    max_diff = 0.0
-    min_value = math.inf
-    for r in np.linspace(1.0, 9.0, int(grid)):
-        for s in np.linspace(0.0, 10.0, int(grid)):
-            spec = MeasureSpec.unified(float(r), float(s))
-            value = tau_hat_indicator(psi, None, spec).value
-            closed = _star4_closed_tau_hat(spec)
-            max_diff = max(max_diff, abs(value - closed))
-            min_value = min(min_value, value)
-            rows.append([_fmt(float(r)), _fmt(float(s)), _fmt(value)])
-    footers = [f"# max_abs_diff = {_fmt(max_diff)}",
-               f"# min_value = {_fmt(min_value)}"]
-    return ["r", "s", "tau_hat_unified"], rows, footers, max_diff
+    return _scan_target("star4", grid, MeasureSpec.unified(2, 1),
+                        lambda r, s: _star4_closed_tau_hat(MeasureSpec.unified(r, s)),
+                        ["r", "s", "tau_hat_unified"])
 
 
 _TABLE1_ROWS = (
@@ -337,28 +322,18 @@ _TABLE1_ROWS = (
 )
 
 
-def _renyi_triangle_fuzz(dims, r: float, trials: int, seed: int, tol: float):
-    violations = 0
-    min_margin = math.inf
-    for trial in range(trials):
-        psi = haar_random(dims, mix64(seed, trial))
-        for i in range(3):
-            lower, upper = renyi_mixed_check(psi, i, r, tol)
-            for res in (lower, upper):
-                min_margin = min(min_margin, res.margin)
-                if not res.satisfied:
-                    violations += 1
-    return violations, min_margin
-
-
 def table1(trials: int = 1000, seed: int = 0, **_):
     """Seeded polygon fuzz per measure row; open rows report evidence only."""
     rows = []
     for index, (label, token, dims, status) in enumerate(_TABLE1_ROWS):
         row_seed = mix64(seed, index)
         if token == "renyi3":
-            violations, min_margin = _renyi_triangle_fuzz(dims, 2.0, trials, row_seed,
-                                                         DEFAULT_TOL)
+            violations, min_margin = 0, math.inf
+            for _, _, amps in trial_blocks(dims, row_seed, 0, trials):
+                lhs, rhs = renyi_mixed_bounds(amps, dims, 2.0)
+                margins = rhs - lhs
+                violations += int(np.count_nonzero(~(margins >= -DEFAULT_TOL)))
+                min_margin = min(min_margin, float(margins.min()))
         else:
             report = fuzz_polygon(SearchConfig(
                 dims=dims, spec=MeasureSpec.from_token(token, q=2, r=2, s=1), trials=trials,

@@ -4,15 +4,13 @@ Trials are seeded individually through :func:`mix64`, so a report depends
 only on (seed, trials, config) and never on how trials are scheduled across
 workers or blocks.
 
-A worker runs its chunk of trials in blocks of at most ``BLOCK_AMPLITUDES``
-amplitudes (at least one trial).  A block draws its trials' Haar states
-into the rows of one (T, D) array, bit for bit the states ``haar_random``
-gives for their seeds, then runs one batched SVD per site
-(:func:`~entpoly.tensor.schmidt_spectrum`) and evaluates the measure on
-the (T, d) spectra (:func:`~entpoly.measures.value_from_spectrum`).
-Margins, violations, the histogram and the lowest-margin trials are
-array operations; only the trials kept as worst states become
-:class:`~entpoly.states.MultiQuditState` objects.
+States are evaluated in blocks of at most ``BLOCK_AMPLITUDES`` amplitudes
+(at least one state), one (T, D) array each.  :func:`trial_blocks` alone
+draws seeded trials, bit for bit the states ``haar_random`` gives for their
+seeds; a fuzz worker takes each block's polygon margins from
+:func:`~entpoly.inequalities.polygon_margins` and keeps only its worst
+trials as :class:`~entpoly.states.MultiQuditState` objects.
+:func:`grid_scan` stacks the states of a parameter grid the same way.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .inequalities import tau_hat_indicator, tau_indicator
-from .measures import MeasureSpec, _site_sides, marginal_vector, value_from_spectrum
+from .inequalities import bipartition_margins, default_tau_hat_cuts, polygon_margins
+from .measures import MeasureSpec
 from .states import (
     MultiQuditState,
     _haar_draws,
@@ -37,7 +35,7 @@ from .states import (
     state_from_dict,
     state_to_dict,
 )
-from .tensor import as_dims, schmidt_spectrum
+from .tensor import as_dims
 from .tolerances import DEFAULT_TOL
 
 HIST_BINS = 64
@@ -110,20 +108,30 @@ def _hist_index(margins) -> np.ndarray:
     return np.minimum(np.maximum((frac * HIST_BINS).astype(np.int64), 0), HIST_BINS - 1)
 
 
+def _blocks(items, size: int):
+    # consecutive slices of items holding BLOCK_AMPLITUDES // size items each (at least one)
+    step = max(1, BLOCK_AMPLITUDES // size)
+    return [items[lo:lo + step] for lo in range(0, len(items), step)]
+
+
+def trial_blocks(dims, seed: int, start: int, stop: int):
+    """Trials start..stop-1 of a seeded search as (first trial, seeds, (T, D) amplitudes).
+
+    Row t of a block holds ``haar_random(dims, mix64(seed, first + t))`` bit for bit.
+    """
+    size = math.prod(dims)
+    for trials in _blocks(range(start, stop), size):
+        seeds = [mix64(seed, t) for t in trials]
+        yield trials.start, seeds, _haar_draws(seeds, size)
+
+
 def _run_chunk(cfg: SearchConfig, start: int, stop: int):
-    size = math.prod(cfg.dims)
-    sides = _site_sides(cfg.dims)
     violations = 0
     min_margin = math.inf
     hist = np.zeros(HIST_BINS, dtype=np.int64)
     worst: list[tuple] = []  # (margin, trial, seed, site, state), lowest margin first
-    step = max(1, BLOCK_AMPLITUDES // size)
-    for lo in range(start, stop, step):
-        seeds = [mix64(cfg.seed, t) for t in range(lo, min(lo + step, stop))]
-        amps = _haar_draws(seeds, size)
-        mv = np.stack([value_from_spectrum(cfg.spec, schmidt_spectrum(amps, cfg.dims, side))
-                       for side in sides], axis=-1)
-        margins = mv.sum(axis=-1, keepdims=True) - 2.0 * mv  # polygon slack at every site
+    for lo, seeds, amps in trial_blocks(cfg.dims, cfg.seed, start, stop):
+        margins = polygon_margins(amps, cfg.dims, cfg.spec)
         violations += int(np.count_nonzero(margins < -cfg.tol))
         hist += np.bincount(_hist_index(margins).reshape(-1), minlength=HIST_BINS)
         sites = margins.argmin(axis=-1)
@@ -181,8 +189,7 @@ def fuzz_polygon(cfg: SearchConfig, workers: int = 1) -> ViolationReport:
 def recompute_margin(entry: WorstState, spec: MeasureSpec) -> float:
     """Reload a recorded worst state and recompute its polygon margin."""
     psi = state_from_dict(entry.state)
-    mv = marginal_vector(psi, spec)
-    return float(np.sum(mv) - 2.0 * mv[entry.site])
+    return float(polygon_margins(psi.amplitudes[None], psi.dims, spec)[0, entry.site])
 
 
 def report_to_dict(report: ViolationReport) -> dict:
@@ -251,6 +258,10 @@ def _w_interp_state(theta: float, phi: float) -> MultiQuditState:
     return MultiQuditState((2, 2, 2), amps / nrm)
 
 
+# angle family -> (state constructor, total dimension)
+_ANGLE_FAMILIES = {"generalized_ghz3": (generalized_ghz3, 27), "w_interp": (_w_interp_state, 8)}
+
+
 def _grid_shape(grid) -> tuple[int, int]:
     if isinstance(grid, int):
         return grid, grid
@@ -267,33 +278,33 @@ def grid_scan(family: str, grid, spec: MeasureSpec) -> list[tuple[float, float, 
     * ``w_interp``: tau of the three-qubit single-excitation family, same box
     * ``star4``: tau-hat of the fixed hub state, scanning the measure
       parameter(s): q in [2, 9] for qconc (param2 = 0), (r, s) in
-      [1, 9] x [0, 10] for unified
+      [1, 9] x [0, 10] for unified; every parameter's spec is evaluated on
+      one set of cut spectra
     """
     n1, n2 = _grid_shape(grid)
     if n1 < 2 or n2 < 2:
         raise InvalidInputError("grid resolution must be >= 2 per axis")
-    rows: list[tuple[float, float, float]] = []
-    if family in ("generalized_ghz3", "w_interp"):
-        build = generalized_ghz3 if family == "generalized_ghz3" else _w_interp_state
-        for theta in np.linspace(0.0, math.pi, n1):
-            for phi in np.linspace(0.0, 2.0 * math.pi, n2):
-                val = tau_indicator(build(float(theta), float(phi)), spec).value
-                rows.append((float(theta), float(phi), val))
-        return rows
-    if family == "star4":
-        psi = star4()
+    if family in _ANGLE_FAMILIES:
+        build, size = _ANGLE_FAMILIES[family]
+        points = [(float(theta), float(phi)) for theta in np.linspace(0.0, math.pi, n1)
+                  for phi in np.linspace(0.0, 2.0 * math.pi, n2)]
+        values = []
+        for block in _blocks(points, size):
+            states = [build(*point) for point in block]
+            values += list(polygon_margins(np.stack([psi.amplitudes for psi in states]),
+                                           states[0].dims, spec).min(axis=-1))
+    elif family == "star4":
         if spec.kind == "qconc":
-            for q in np.linspace(2.0, 9.0, n1):
-                val = tau_hat_indicator(psi, None, MeasureSpec.qconcurrence(float(q))).value
-                rows.append((float(q), 0.0, val))
-            return rows
-        if spec.kind == "unified":
-            for r in np.linspace(1.0, 9.0, n1):
-                for s in np.linspace(0.0, 10.0, n2):
-                    val = tau_hat_indicator(
-                        psi, None, MeasureSpec.unified(float(r), float(s))).value
-                    rows.append((float(r), float(s), val))
-            return rows
-        raise InvalidInputError("star4 scans vary the measure parameter; use qconc or unified")
-    raise InvalidInputError(
-        f"unknown scan family {family!r}; expected one of {', '.join(SCAN_FAMILIES)}")
+            points = [(float(q), 0.0) for q in np.linspace(2.0, 9.0, n1)]
+        elif spec.kind == "unified":
+            points = [(float(r), float(s)) for r in np.linspace(1.0, 9.0, n1)
+                      for s in np.linspace(0.0, 10.0, n2)]
+        else:
+            raise InvalidInputError("star4 scans vary the measure parameter; use qconc or unified")
+        specs = [MeasureSpec.from_token(spec.kind, q=a, r=a, s=b) for a, b in points]
+        margins = bipartition_margins(star4(), default_tau_hat_cuts(4), specs)
+        values = np.array([[res.margin for res in row] for row in margins]).min(axis=0)
+    else:
+        raise InvalidInputError(
+            f"unknown scan family {family!r}; expected one of {', '.join(SCAN_FAMILIES)}")
+    return [(a, b, float(v)) for (a, b), v in zip(points, values)]

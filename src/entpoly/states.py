@@ -38,7 +38,10 @@ class MultiQuditState:
             raise InvalidInputError(
                 f"expected {total_dim(dims)} amplitudes for dims {list(dims)}, "
                 f"got {amps.size}")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        nrm = float(np.linalg.norm(amps))
+        if not math.isfinite(nrm):
+            raise InvalidInputError(f"amplitudes must be finite, norm is {nrm}")
+        if abs(nrm - 1.0) > NORM_TOL:
             raise InvalidInputError("amplitudes are not normalized")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -73,6 +76,8 @@ def from_amplitudes(dims, amplitudes) -> MultiQuditState:
         raise InvalidInputError(
             f"expected {total_dim(dims)} amplitudes for dims {list(dims)}, got {amps.size}")
     nrm = float(np.linalg.norm(amps))
+    if not math.isfinite(nrm):
+        raise InvalidInputError(f"amplitudes must be finite, norm is {nrm}")
     if nrm == 0.0:
         raise InvalidInputError("amplitude vector is zero")
     if abs(nrm - 1.0) > NORM_LOAD_TOL:

@@ -81,27 +81,39 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return np.einsum("atbt->ab", t.reshape(dk, dt, dk, dt))
 
 
-def _cut_matrix(amplitudes, dims, keep) -> np.ndarray:
-    # Validated amplitudes reshaped to (kept dimension, traced dimension); a
-    # (T, D) batch of state vectors gives (T, kept, traced), each row validated.
-    dims = as_dims(dims)
-    n = len(dims)
-    keep = as_sites(keep, n)
+def _pure_block(amplitudes, dims) -> np.ndarray:
+    # one state vector, or a (T, D) batch, with every row finite and normalized
     size = math.prod(dims)
     v = np.asarray(amplitudes, dtype=np.complex128)
-    batch = v.shape[:1] if v.ndim == 2 else ()
-    v = v.reshape(batch + (-1,))
+    v = v.reshape(v.shape[:1] + (-1,) if v.ndim == 2 else (-1,))
     if v.shape[-1] != size:
         raise InvalidInputError(
             f"amplitude vector length {v.shape[-1]} does not match the product "
             f"of the site dimensions ({size})")
+    if not np.isfinite(v).all():
+        raise InvalidInputError("amplitudes must be finite")
     err = np.abs(np.sqrt(np.vecdot(v, v).real) - 1.0)
     if np.count_nonzero(err > NORM_TOL):
         raise InvalidInputError(f"state is not normalized: |norm-1| = {err.max():.3e}")
-    traced = tuple(j for j in range(n) if j not in keep)
+    return v
+
+
+def _cut_matrix(v, dims, keep) -> np.ndarray:
+    # validated amplitudes reshaped to (kept dimension, traced dimension), per row
+    traced = tuple(j for j in range(len(dims)) if j not in keep)
     dk = math.prod(dims[j] for j in keep)
+    batch = v.shape[:-1]
     axes = tuple(range(len(batch))) + tuple(len(batch) + j for j in keep + traced)
-    return v.reshape(batch + dims).transpose(axes).reshape(batch + (dk, size // dk))
+    return v.reshape(batch + dims).transpose(axes).reshape(batch + (dk, -1))
+
+
+def _cut_spectrum(v, dims, keep) -> np.ndarray:
+    # ascending squared singular values of each row's cut matrix, zero-padded
+    m = _cut_matrix(v, dims, keep)
+    sv = np.linalg.svd(m, compute_uv=False)
+    w = np.zeros(m.shape[:-1])
+    w[..., m.shape[-2] - sv.shape[-1]:] = np.square(sv[..., ::-1])
+    return w
 
 
 def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
@@ -110,7 +122,8 @@ def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
     Equivalent to ``partial_trace(outer(psi), dims, keep)`` but never forms
     the full projector; cost is quadratic in the kept dimension only.
     """
-    m = _cut_matrix(np.asarray(amplitudes).reshape(-1), dims, keep)
+    dims = as_dims(dims)
+    m = _cut_matrix(_pure_block(np.ravel(amplitudes), dims), dims, as_sites(keep, len(dims)))
     return m @ m.conj().T
 
 
@@ -127,11 +140,8 @@ def schmidt_spectrum(amplitudes, dims, keep) -> np.ndarray:
     row is validated, one batched SVD runs, and row t of the (T, kept) result
     equals the spectrum of row t alone.
     """
-    m = _cut_matrix(amplitudes, dims, keep)
-    sv = np.linalg.svd(m, compute_uv=False)
-    w = np.zeros(m.shape[:-1])
-    w[..., m.shape[-2] - sv.shape[-1]:] = np.square(sv[..., ::-1])
-    return w
+    dims = as_dims(dims)
+    return _cut_spectrum(_pure_block(amplitudes, dims), dims, as_sites(keep, len(dims)))
 
 
 def partial_transpose(rho, dims, subset) -> np.ndarray:

@@ -7,5 +7,6 @@ NORM_TOL = 1e-9        # |norm - 1| above this means the amplitudes are not norm
 NORM_LOAD_TOL = 1e-6   # acceptance band for user-supplied amplitude vectors (renormalized)
 HERMITIAN_TOL = 1e-10  # largest entry of |A - A^H| accepted as Hermitian
 RANK_TOL = 1e-9        # rank counts eigenvalues above this
+EIG_RANK_EPS = 2.0**-52  # dense eigenvalues <= dim * this * max are zero (as numpy's matrix_rank)
 LOG_EPS = 1e-12        # eigenvalues at or below this are dropped inside logarithms
 DEFAULT_TOL = 1e-9     # default slack of an inequality check: satisfied when margin >= -tol

@@ -5,7 +5,7 @@ import pytest
 
 from entpoly.cli import main
 from entpoly.search import mix64, report_from_json
-from entpoly.states import haar_random, save_state
+from entpoly.states import haar_random, save_state, state_to_dict
 
 
 @pytest.fixture
@@ -204,6 +204,33 @@ def test_reproduce_oversized_network_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "dense limit" in err
+
+
+@pytest.mark.parametrize("target, grid", [
+    ("fig2", 1), ("fig2", 0), ("fig2", -1), ("fig4a", 1), ("fig4b", 1), ("fig4b", -3),
+    ("example1", 0), ("example1", -2),
+])
+def test_reproduce_rejects_small_grids(capsys, target, grid):
+    code, out, err = run(capsys, "reproduce", target, "--grid", str(grid))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_non_finite_state_file_exits_2(capsys, tmp_path, monkeypatch):
+    doc = state_to_dict(haar_random((2, 2), 3))
+    doc["amplitudes"][1] = [float("nan"), 0.0]
+    path = tmp_path / "nan.state"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "marginals", "--state", str(path), "--measure", "eof")
+    assert code == 2 and out == "" and "finite" in err
+
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    # a routine that does not converge is reported, not a traceback
+    monkeypatch.setattr(np.linalg, "svd", fails)
+    save_state(haar_random((2, 2), 3), path)
+    code, out, err = run(capsys, "marginals", "--state", str(path), "--measure", "eof")
+    assert code == 2 and out == "" and "did not converge" in err
 
 
 def test_reproduce_unknown_target(capsys):

@@ -12,6 +12,7 @@ from entpoly.measures import (
     MEASURE_TOKENS,
     Bipartition,
     MeasureSpec,
+    cut_values,
     marginal_vector,
     marginal_vector_from_spectra,
     measure_network,
@@ -22,6 +23,7 @@ from entpoly.measures import (
     value_from_spectrum,
 )
 from entpoly.states import (
+    MultiQuditState,
     NetworkSpec,
     Resource,
     compose_network,
@@ -32,7 +34,7 @@ from entpoly.states import (
     star4,
     w_qutrit,
 )
-from entpoly.tensor import hermitian_eigenvalues, kron
+from entpoly.tensor import hermitian_eigenvalues, kron, schmidt_spectrum
 from entpoly.tolerances import LIMIT_TOL
 
 ALL_SPECS = [
@@ -256,6 +258,61 @@ def test_marginal_vector_matches_spectra_shortcut():
                                    atol=0)
 
 
+SEVEN_SPECS = [MeasureSpec.from_token(t, q=3.5, r=2.5, s=0.5) for t in MEASURE_TOKENS]
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (8, 2, 2, 2), (2, 2, 2, 2)])
+def test_block_rows_equal_one_row_calls(dims):
+    n = len(dims)
+    sides = [side for size in range(1, n) for side in itertools.combinations(range(n), size)]
+    # three Haar rows, a product row and a GHZ row (zero-padded spectra)
+    product = np.ones(1, dtype=complex)
+    for k, d in enumerate(dims):
+        product = np.kron(product, haar_random((d,), 50 + k).amplitudes)
+    cat = np.zeros(dims, dtype=complex)
+    for k in range(min(dims)):
+        cat[(k,) * n] = 1 / math.sqrt(min(dims))
+    block = np.stack([haar_random(dims, 60 + t).amplitudes for t in range(3)]
+                     + [product, cat.reshape(-1)])
+    values = cut_values(block, dims, SEVEN_SPECS, sides)
+    assert values.shape == (5, 7, len(sides))
+    for t, amps in enumerate(block):
+        assert np.array_equal(cut_values(block[t:t + 1], dims, SEVEN_SPECS, sides)[0], values[t])
+        psi = MultiQuditState(dims, amps)
+        for i, spec in enumerate(SEVEN_SPECS):
+            assert np.array_equal(marginal_vector(psi, spec), values[t, i, :n])
+            for k, side in enumerate(sides):
+                assert measure_pure(psi, Bipartition.of(side, n), spec) == values[t, i, k]
+    for k, side in enumerate(sides):
+        # the evaluator reduces the smaller side of the cut, the given side on a tie
+        rest = tuple(j for j in range(n) if j not in side)
+        smaller = math.prod(dims[j] for j in side) <= math.prod(dims[j] for j in rest)
+        keep = side if smaller else rest
+        w = schmidt_spectrum(block, dims, keep)
+        for i, spec in enumerate(SEVEN_SPECS):
+            assert np.array_equal(values[:, i, k], value_from_spectrum(spec, w))
+            # the 1-D path agrees to roundoff
+            for t in range(5):
+                assert abs(values[t, i, k] - value_from_spectrum(spec, w[t])) <= 1e-14
+
+
+def test_cut_values_takes_a_block():
+    psi = haar_random((2, 3), 1)
+    with pytest.raises(InvalidInputError):
+        cut_values(psi.amplitudes, psi.dims, [MeasureSpec.eof()], [(0,)])
+    with pytest.raises(InvalidInputError):
+        cut_values(psi.amplitudes[None], psi.dims, [MeasureSpec.eof()], [(2,)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(2, 4), min_size=3, max_size=4).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+def test_concurrence_squares_obey_the_polygon(dims, seed):
+    # conc^2 = 2 qconc(2), so the proved qconc(2) polygon bounds the squares
+    c2 = marginal_vector(haar_random(dims, seed), MeasureSpec.concurrence()) ** 2
+    assert np.all(c2 <= c2.sum() - c2 + 1e-12)
+
+
 def test_total_entanglement():
     assert total_entanglement([0.5, 0.5, 0.5]) == 1.5
     assert total_entanglement(np.zeros(4)) == 0.0
@@ -355,9 +412,9 @@ NETWORK_SPECS = [
     MeasureSpec.tsallis(2.5), MeasureSpec.tsallis(1 + LIMIT_TOL / 2),
     MeasureSpec.unified(2, 1), MeasureSpec.unified(1.5, 0.5),
     MeasureSpec.unified(1 + LIMIT_TOL / 2, 0.5), MeasureSpec.unified(3, LIMIT_TOL / 2),
-    # Renyi r in (0, 1) is left out: it lifts the dense oracle's ~1e-17
-    # roundoff eigenvalues to ~1e-8, where the factored spectrum has exact zeros
-    MeasureSpec.renyi(0), MeasureSpec.renyi(2), MeasureSpec.renyi(3),
+    # r in (0, 1) lifts any roundoff eigenvalue the dense oracle kept to ~1e-8
+    MeasureSpec.renyi(0), MeasureSpec.renyi(0.2), MeasureSpec.renyi(0.5),
+    MeasureSpec.renyi(2), MeasureSpec.renyi(3),
 ]
 
 

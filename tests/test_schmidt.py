@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entpoly.errors import InvalidInputError
-from entpoly.measures import Bipartition, MeasureSpec, measure_pure, value_from_spectrum
+from entpoly.measures import (
+    Bipartition,
+    MeasureSpec,
+    cut_values,
+    measure_pure,
+    value_from_spectrum,
+)
 from entpoly.states import MultiQuditState, haar_random
 from entpoly.tensor import partial_transpose, reduced_of_pure, schmidt_spectrum
 
@@ -128,9 +134,15 @@ def test_known_spectra_and_padding():
 def test_batch_validates_every_row():
     good = haar_random((2, 3), 1).amplitudes
     short = haar_random((5,), 2).amplitudes  # normalized, one amplitude short
-    for batch in (np.stack([good, good, 2.0 * good]), np.stack([short, short])):
+    nan_row, inf_row = good.copy(), good.copy()
+    nan_row[2] = math.nan
+    inf_row[4] = math.inf
+    for batch in (np.stack([good, good, 2.0 * good]), np.stack([short, short]),
+                  np.stack([good, nan_row, good]), np.stack([inf_row, good])):
         with pytest.raises(InvalidInputError):
             schmidt_spectrum(batch, (2, 3), (0,))
+        with pytest.raises(InvalidInputError):
+            cut_values(batch, (2, 3), [MeasureSpec.eof()], [(0,)])
     assert schmidt_spectrum(np.stack([good, good]), (2, 3), (0,)).shape == (2, 2)
 
 

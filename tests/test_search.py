@@ -16,7 +16,9 @@ from entpoly.search import (
     report_from_json,
     report_to_json,
 )
-from entpoly.states import haar_random, state_from_dict, state_to_dict
+from entpoly.inequalities import tau_hat_indicator, tau_indicator
+from entpoly.search import _w_interp_state
+from entpoly.states import generalized_ghz3, haar_random, star4, state_from_dict, state_to_dict
 
 
 def test_mix64_published_convention():
@@ -181,6 +183,47 @@ def test_grid_scan_star4_matches_closed_forms():
     rows = grid_scan("star4", (5, 6), MeasureSpec.unified(1, 0))
     assert len(rows) == 30
     assert all(v >= -1e-9 for _, _, v in rows)
+
+
+@pytest.mark.parametrize("family, grid, spec", [
+    ("generalized_ghz3", (7, 6), MeasureSpec.eof()),
+    ("w_interp", (5, 8), MeasureSpec.unified(2.5, 0.7)),
+    ("star4", 9, MeasureSpec.qconcurrence(2)),
+    ("star4", (5, 6), MeasureSpec.unified(1, 0)),
+])
+def test_grid_scan_rows_equal_per_point_indicators(monkeypatch, family, grid, spec):
+    rows = grid_scan(family, grid, spec)
+    for a, b, value in rows:
+        if family == "star4":
+            point = (MeasureSpec.qconcurrence(a) if spec.kind == "qconc"
+                     else MeasureSpec.unified(a, b))
+            assert value == tau_hat_indicator(star4(), None, point).value
+        else:
+            psi = generalized_ghz3(a, b) if family == "generalized_ghz3" else _w_interp_state(a, b)
+            assert value == tau_indicator(psi, spec).value
+    # blocks of three or four states give the same rows
+    monkeypatch.setattr(search, "BLOCK_AMPLITUDES", 100)
+    assert grid_scan(family, grid, spec) == rows
+
+
+def test_one_svd_per_distinct_reduced_side(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    # star4: 4 site sides and 10 cuts reduce to 8 distinct sides
+    tau_hat_indicator(star4(), None, MeasureSpec.qconcurrence(2))
+    assert len(calls) == 8
+    calls.clear()
+    tau_indicator(haar_random((3, 3, 3), 5), MeasureSpec.eof())
+    assert len(calls) == 3
+    calls.clear()
+    grid_scan("generalized_ghz3", 12, MeasureSpec.eof())
+    assert calls == [(144, 3, 9)] * 3
 
 
 def test_grid_scan_validation():

@@ -9,6 +9,7 @@ from entpoly.errors import InvalidInputError
 from entpoly.measures import MeasureSpec, network_marginal_vector
 from entpoly.states import (
     MAX_NETWORK_DIM,
+    MultiQuditState,
     NetworkSpec,
     Resource,
     compose_network,
@@ -48,6 +49,11 @@ def test_from_amplitudes_rejects_bad_input():
         from_amplitudes((2, 2), [1, 0])
     with pytest.raises(InvalidInputError):
         from_amplitudes((1, 2), [1, 0])
+    for bad in ([math.nan, 0], [1, math.nan * 1j], [math.inf, 0]):
+        with pytest.raises(InvalidInputError, match="finite"):
+            from_amplitudes((2,), bad)
+        with pytest.raises(InvalidInputError, match="finite"):
+            MultiQuditState((2,), bad)
 
 
 def test_state_is_immutable():
