@@ -1,7 +1,7 @@
 """Command-line front end; all output is deterministic machine-readable CSV.
 
 Exit codes: 0 success, 1 usage error, 2 bad numerical input (or a LAPACK
-routine that did not converge), 3 when a
+routine that did not converge, or an input too large for memory), 3 when a
 ``check`` run finds a violated inequality (fuzz reports violations as data
 and still exits 0).
 """
@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .inequalities import (
     bipartition_check,
+    default_tau_hat_cuts,
     polygon_check,
     renyi_mixed_check,
     tau_hat_indicator,
@@ -156,50 +158,32 @@ def _cmd_marginals(args) -> int:
 def _cmd_check(args) -> int:
     psi = load_state(args.state)
     tol = args.tol
-    results = []
     if args.kind == "renyi-mixed":
         if args.r is None:
             raise _UsageError("check renyi-mixed requires --r")
-        header = ["i", "bound", "lhs", "rhs", "margin", "satisfied"]
-        rows = []
-        for i in range(psi.num_sites):
-            lower, upper = renyi_mixed_check(psi, i, args.r, tol)
-            for name, res in (("lower", lower), ("upper", upper)):
-                results.append(res)
-                rows.append([str(i), name, _fmt(res.lhs), _fmt(res.rhs),
-                             _fmt(res.margin), str(res.satisfied).lower()])
+        pair = partial(renyi_mixed_check, psi, r=args.r, tol=tol)
     else:
         spec = _spec_from_args(args)
-        if args.kind == "polygon":
+    if args.kind == "bipartition":
+        if args.cut is None:
+            raise _UsageError("check bipartition requires --cut")
+        cut = Bipartition.from_string(args.cut)
+        keys, results = ["cut"], [([str(cut)], bipartition_check(psi, cut, spec, tol))]
+    elif args.kind == "polygon":
+        mv = marginal_vector(psi, spec)
+        keys = ["j"]
+        results = [([str(j)], polygon_check(mv, j, tol)) for j in range(psi.num_sites)]
+    else:  # triangle and renyi-mixed: a lower and an upper bound per site
+        if args.kind == "triangle":
             mv = marginal_vector(psi, spec)
-            header = ["j", "lhs", "rhs", "margin", "satisfied"]
-            rows = []
-            for j in range(psi.num_sites):
-                res = polygon_check(mv, j, tol)
-                results.append(res)
-                rows.append([str(j), _fmt(res.lhs), _fmt(res.rhs),
-                             _fmt(res.margin), str(res.satisfied).lower()])
-        elif args.kind == "triangle":
-            mv = marginal_vector(psi, spec)
-            header = ["i", "bound", "lhs", "rhs", "margin", "satisfied"]
-            rows = []
-            for i in range(psi.num_sites):
-                lower, upper = triangle_check(mv, i, tol)
-                for name, res in (("lower", lower), ("upper", upper)):
-                    results.append(res)
-                    rows.append([str(i), name, _fmt(res.lhs), _fmt(res.rhs),
-                                 _fmt(res.margin), str(res.satisfied).lower()])
-        else:
-            if args.cut is None:
-                raise _UsageError("check bipartition requires --cut")
-            cut = Bipartition.from_string(args.cut)
-            res = bipartition_check(psi, cut, spec, tol)
-            results.append(res)
-            header = ["cut", "lhs", "rhs", "margin", "satisfied"]
-            rows = [[str(cut), _fmt(res.lhs), _fmt(res.rhs),
-                     _fmt(res.margin), str(res.satisfied).lower()]]
-    _write_csv(header, rows)
-    return 0 if all(r.satisfied for r in results) else 3
+            pair = partial(triangle_check, mv, tol=tol)
+        keys = ["i", "bound"]
+        results = [([str(i), name], res) for i in range(psi.num_sites)
+                   for name, res in zip(("lower", "upper"), pair(i))]
+    _write_csv(keys + ["lhs", "rhs", "margin", "satisfied"],
+               [key + [_fmt(res.lhs), _fmt(res.rhs), _fmt(res.margin), str(res.satisfied).lower()]
+                for key, res in results])
+    return 0 if all(res.satisfied for _, res in results) else 3
 
 
 def _cmd_indicator(args) -> int:
@@ -209,7 +193,6 @@ def _cmd_indicator(args) -> int:
         res = tau_indicator(psi, spec)
         cut = str(Bipartition.one_vs_rest(res.argmin_site, psi.num_sites))
     else:
-        from .inequalities import default_tau_hat_cuts
         cuts = default_tau_hat_cuts(psi.num_sites)
         res = tau_hat_indicator(psi, cuts, spec)
         cut = str(cuts[res.argmin_site])
@@ -293,6 +276,9 @@ def main(argv=None) -> int:
         return 1
     except (InvalidInputError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,18 @@
 """Polygon, triangle and bipartition inequality checkers plus indicators.
 
 A violated inequality is returned as data, never raised: the randomized
-search treats the satisfied/violated status as an observation.  Each of
-:func:`polygon_margins`, :func:`renyi_mixed_bounds` (both over a block of
-states) and :func:`bipartition_margins` makes one
-:func:`~entpoly.measures.cut_values` call; the other checks reduce theirs.
+search treats the satisfied/violated status as an observation.  Each of the
+paper's three families has a block form that gives arrays for a whole
+(T, D) block of states: :func:`polygon_slack` and :func:`triangle_bounds`
+over an array of marginals, :func:`polygon_margins`,
+:func:`renyi_mixed_bounds` and :func:`bipartition_bounds` over amplitudes,
+each from one :func:`~entpoly.measures.cut_values` call.  A ``*_bounds``
+form returns both sides (lhs, rhs) of lhs <= rhs, so its margins are
+``rhs - lhs``.  :func:`polygon_margins` and :func:`renyi_mixed_margins` are
+margin functions of the fuzz engine.  The scalar checks
+(:func:`polygon_check`, :func:`triangle_check`, :func:`renyi_mixed_check`,
+:func:`bipartition_check`) are the only places that build
+:class:`InequalityResult` objects; the indicators reduce the arrays.
 """
 
 from __future__ import annotations
@@ -59,17 +67,24 @@ def polygon_check(mv, j: int, tol: float = DEFAULT_TOL) -> InequalityResult:
     return InequalityResult.of(lhs, rhs, tol)
 
 
+_J, _K = [1, 0, 0], [2, 2, 1]  # the remaining sites j < k of each site i of three
+
+
+def triangle_bounds(mv):
+    """(lhs, rhs) of :func:`triangle_check` per site of (..., 3) marginals, each (..., 3, 2)."""
+    mv = np.atleast_1d(np.asarray(mv, dtype=float))
+    if mv.shape[-1] != 3:
+        raise InvalidInputError(f"triangle_check needs exactly 3 marginals, got {mv.shape[-1]}")
+    return (np.stack([np.abs(mv[..., _J] - mv[..., _K]), mv], axis=-1),
+            np.stack([mv, mv[..., _J] + mv[..., _K]], axis=-1))
+
+
 def triangle_check(mv, i: int, tol: float = DEFAULT_TOL):
     """Lower and upper triangle bounds on side i of a three-site marginal vector."""
-    mv = np.asarray(mv, dtype=float)
-    if mv.size != 3:
-        raise InvalidInputError(f"triangle_check needs exactly 3 marginals, got {mv.size}")
+    lhs, rhs = triangle_bounds(np.ravel(mv))
     if i < 0 or i > 2:
         raise InvalidInputError(f"site {i} out of range for a three-site state")
-    j, k = [t for t in range(3) if t != i]
-    lower = InequalityResult.of(abs(float(mv[j]) - float(mv[k])), float(mv[i]), tol)
-    upper = InequalityResult.of(float(mv[i]), float(mv[j]) + float(mv[k]), tol)
-    return lower, upper
+    return tuple(InequalityResult.of(float(lhs[i, b]), float(rhs[i, b]), tol) for b in (0, 1))
 
 
 def renyi_mixed_bounds(amplitudes, dims, r: float):
@@ -83,9 +98,16 @@ def renyi_mixed_bounds(amplitudes, dims, r: float):
     values = cut_values(amplitudes, dims, [MeasureSpec.renyi(r), MeasureSpec.renyi(0)],
                         [(0,), (1,), (2,)])
     rr, r0 = values[:, 0], values[:, 1]
-    j, k = [1, 0, 0], [2, 2, 1]  # the remaining sites j < k of each site i
-    return (np.stack([rr[:, j] - r0[:, k], rr], axis=-1),
-            np.stack([rr, rr[:, j] + r0[:, k]], axis=-1))
+    return (np.stack([rr[:, _J] - r0[:, _K], rr], axis=-1),
+            np.stack([rr, rr[:, _J] + r0[:, _K]], axis=-1))
+
+
+def renyi_mixed_margins(amplitudes, dims, spec: MeasureSpec) -> np.ndarray:
+    """rhs - lhs of :func:`renyi_mixed_bounds` at a renyi spec's order, as (T, 6)."""
+    if spec.kind != "renyi":
+        raise InvalidInputError(f"the mixed Renyi bounds take a renyi measure, got {spec.kind}")
+    lhs, rhs = renyi_mixed_bounds(amplitudes, dims, spec.r)
+    return (rhs - lhs).reshape(len(lhs), 6)
 
 
 def renyi_mixed_check(psi: MultiQuditState, i: int, r: float,
@@ -112,29 +134,38 @@ def bipartition_check(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec,
     """Cut measure <= sum of one-to-group marginals over the side_a sites."""
     if not spec.is_entropy_based:
         raise InvalidInputError("bipartition_check needs an entropy-based measure")
-    return bipartition_margins(psi, [cut], [spec], tol)[0][0]
+    lhs, rhs = bipartition_bounds(psi.amplitudes[None], psi.dims, [spec], [cut])
+    return InequalityResult.of(float(lhs[0, 0, 0]), float(rhs[0, 0, 0]), tol)
 
 
-def bipartition_margins(psi: MultiQuditState, cuts, specs,
-                        tol: float = DEFAULT_TOL) -> list[list[InequalityResult]]:
-    """Batch form of :func:`bipartition_check`: results[cut_index][spec_index].
+def bipartition_bounds(amplitudes, dims, specs, cuts):
+    """Both sides of :func:`bipartition_check` for a (T, D) block, every spec and cut.
 
-    One :func:`~entpoly.measures.cut_values` call serves every site, cut and
-    spec, so each distinct reduced side is computed once.
+    lhs[t, i, c] is ``specs[i]`` across ``cuts[c]``, rhs[t, i, c] the sum of its
+    side_a sites' marginals, all from one :func:`~entpoly.measures.cut_values` call.
     """
-    cuts, n = list(cuts), psi.num_sites
+    cuts, n = list(cuts), len(dims)
+    if not cuts:
+        raise InvalidInputError("bipartition bounds need at least one cut")
     for cut in cuts:
         cut.validate_for(n)
-    values = cut_values(psi.amplitudes[None], psi.dims, specs,
-                        [(j,) for j in range(n)] + [cut.side_a for cut in cuts])[0]
-    return [[InequalityResult.of(float(row[n + c]), float(sum(row[j] for j in cut.side_a)), tol)
-             for row in values] for c, cut in enumerate(cuts)]
+    values = cut_values(amplitudes, dims, specs,
+                        [(j,) for j in range(n)] + [cut.side_a for cut in cuts])
+    # Python's sum adds left to right; numpy's order would move tau_hat's last bit
+    rhs = np.stack([sum(values[..., j] for j in cut.side_a) for cut in cuts], axis=-1)
+    return values[..., n:], rhs
+
+
+def polygon_slack(mv) -> np.ndarray:
+    """Polygon slack sum_{k!=j} E_k - E_j of every site j over the last axis of marginals."""
+    mv = np.asarray(mv, dtype=float)
+    return mv.sum(axis=-1, keepdims=True) - 2.0 * mv
 
 
 def polygon_margins(amplitudes, dims, spec: MeasureSpec) -> np.ndarray:
-    """Polygon slack sum_{k!=j} E_k - E_j of every site j of every row: a (T, n) array."""
-    mv = cut_values(amplitudes, dims, [spec], [(j,) for j in range(len(dims))])[:, 0]
-    return mv.sum(axis=-1, keepdims=True) - 2.0 * mv
+    """:func:`polygon_slack` of every row of a (T, D) block: a (T, n) array."""
+    return polygon_slack(cut_values(amplitudes, dims, [spec],
+                                    [(j,) for j in range(len(dims))])[:, 0])
 
 
 def tau_indicator(psi: MultiQuditState, spec: MeasureSpec) -> IndicatorResult:
@@ -168,12 +199,10 @@ def tau_hat_indicator(psi: MultiQuditState, cuts, spec: MeasureSpec) -> Indicato
     """
     if cuts is None:
         cuts = default_tau_hat_cuts(psi.num_sites)
-    cuts = list(cuts)
-    if not cuts:
-        raise InvalidInputError("tau_hat_indicator needs at least one cut")
-    slacks = [row[0].margin for row in bipartition_margins(psi, cuts, [spec])]
+    lhs, rhs = bipartition_bounds(psi.amplitudes[None], psi.dims, [spec], cuts)
+    slacks = (rhs - lhs)[0, 0]
     idx = int(np.argmin(slacks))
-    return IndicatorResult(slacks[idx], idx)
+    return IndicatorResult(float(slacks[idx]), idx)
 
 
 def product_structure_oracle(psi: MultiQuditState, tol: float = DEFAULT_TOL) -> bool:

@@ -257,11 +257,6 @@ def marginal_vector(psi: MultiQuditState, spec: MeasureSpec) -> np.ndarray:
     return cut_values(psi.amplitudes[None], psi.dims, [spec], sites)[0, 0]
 
 
-def marginal_vector_from_spectra(spectra, spec: MeasureSpec) -> np.ndarray:
-    """Marginal vector evaluated from precomputed single-site spectra."""
-    return np.array([value_from_spectrum(spec, w) for w in spectra])
-
-
 def total_entanglement(mv) -> float:
     """Sum of the one-to-group marginals."""
     return float(np.sum(np.asarray(mv, dtype=float)))

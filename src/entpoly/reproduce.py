@@ -3,7 +3,8 @@
 Every target recomputes known closed-form values side by side with the
 direct numerical path (for the figures, :func:`~entpoly.search.grid_scan`)
 and reports the absolute differences; ``table1`` runs a seeded fuzz per
-measure row instead.  All output is deterministic given the flags and seed.
+measure row instead, each through the fuzz engine's one reducer.  All
+output is deterministic given the flags and seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .inequalities import renyi_mixed_bounds, tau_hat_indicator, tau_indicator
+from .inequalities import (
+    default_tau_hat_cuts,
+    polygon_margins,
+    polygon_slack,
+    renyi_mixed_margins,
+    tau_hat_indicator,
+    tau_indicator,
+)
 from .measures import (
     Bipartition,
     MeasureSpec,
@@ -22,7 +30,7 @@ from .measures import (
     network_marginal_vector,
     total_entanglement,
 )
-from .search import SearchConfig, fuzz_polygon, grid_scan, mix64, trial_blocks
+from .search import SearchConfig, _run_chunk, grid_scan, mix64
 from .states import (
     NetworkSpec,
     Resource,
@@ -33,7 +41,7 @@ from .states import (
     w_qutrit,
 )
 from .tensor import partial_trace
-from .tolerances import DEFAULT_TOL, LIMIT_TOL, LOG_EPS
+from .tolerances import LIMIT_TOL, LOG_EPS
 
 TARGETS = ("example1", "example2", "example3", "example4", "example5", "example6",
            "fig2", "fig4a", "fig4b", "table1")
@@ -194,9 +202,8 @@ def example4(n: int = 3, q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
         mv = network_marginal_vector(net, spec)
         sheet.add(f"joint_marginal[{spec.kind}]",
                   _closed_uniform(spec, 2 ** (n - 1)), float(mv[0]))
-        margin = float(np.sum(mv) - 2.0 * mv[0])
         sheet.add(f"polygon_margin[{spec.kind}]",
-                  (n - 2) * _closed_uniform(spec, 2 ** (n - 1)), margin)
+                  (n - 2) * _closed_uniform(spec, 2 ** (n - 1)), float(polygon_slack(mv)[0]))
     return sheet.result()
 
 
@@ -220,8 +227,8 @@ def example5(q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
             sheet.add(f"marginal[{spec.kind},party={p}]", closed_mv[p], float(mv[p]))
         for p in range(3):
             closed_margin = sum(closed_mv) - 2.0 * closed_mv[p]
-            margin = float(np.sum(mv) - 2.0 * mv[p])
-            sheet.add(f"polygon_margin[{spec.kind},party={p}]", closed_margin, margin)
+            sheet.add(f"polygon_margin[{spec.kind},party={p}]", closed_margin,
+                      float(polygon_slack(mv)[p]))
     return sheet.result()
 
 
@@ -247,8 +254,6 @@ def _star4_closed_cut(spec: MeasureSpec, side_a) -> float:
 
 
 def _star4_closed_tau_hat(spec: MeasureSpec) -> float:
-    from .inequalities import default_tau_hat_cuts
-
     best = math.inf
     for cut in default_tau_hat_cuts(4):
         cand = sum(_star4_closed_cut(spec, (j,)) for j in cut.side_a)
@@ -313,7 +318,7 @@ _TABLE1_ROWS = (
     ("eof", "eof", (2, 2, 2), "proved"),
     ("eof", "eof", (3, 3, 3), "proved"),
     ("tsallis(r=2)", "tsallis", (3, 3, 3), "proved"),
-    ("renyi-triangle(r=2)", "renyi3", (3, 3, 3), "proved"),
+    ("renyi-triangle(r=2)", "renyi", (3, 3, 3), "proved"),
     ("unified(r=2,s=1)", "unified", (3, 3, 3), "proved"),
     ("conc", "conc", (2, 2, 2), "proved"),
     ("conc", "conc", (3, 3, 3), "open"),
@@ -323,22 +328,13 @@ _TABLE1_ROWS = (
 
 
 def table1(trials: int = 1000, seed: int = 0, **_):
-    """Seeded polygon fuzz per measure row; open rows report evidence only."""
+    """Seeded fuzz per measure row; open rows report evidence only."""
     rows = []
     for index, (label, token, dims, status) in enumerate(_TABLE1_ROWS):
-        row_seed = mix64(seed, index)
-        if token == "renyi3":
-            violations, min_margin = 0, math.inf
-            for _, _, amps in trial_blocks(dims, row_seed, 0, trials):
-                lhs, rhs = renyi_mixed_bounds(amps, dims, 2.0)
-                margins = rhs - lhs
-                violations += int(np.count_nonzero(~(margins >= -DEFAULT_TOL)))
-                min_margin = min(min_margin, float(margins.min()))
-        else:
-            report = fuzz_polygon(SearchConfig(
-                dims=dims, spec=MeasureSpec.from_token(token, q=2, r=2, s=1), trials=trials,
-                seed=row_seed, record_worst=0))
-            violations, min_margin = report.violations, report.min_margin
+        cfg = SearchConfig(dims=dims, spec=MeasureSpec.from_token(token, q=2, r=2, s=1),
+                           trials=trials, seed=mix64(seed, index), record_worst=0)
+        margins_of = renyi_mixed_margins if token == "renyi" else polygon_margins
+        violations, min_margin, _, _ = _run_chunk(cfg, 0, trials, margins_of)
         mark = "?" if status == "open" else "√"
         rows.append([label, ",".join(map(str, dims)), mark,
                      str(trials), str(violations), _fmt(min_margin)])

@@ -7,10 +7,14 @@ workers or blocks.
 States are evaluated in blocks of at most ``BLOCK_AMPLITUDES`` amplitudes
 (at least one state), one (T, D) array each.  :func:`trial_blocks` alone
 draws seeded trials, bit for bit the states ``haar_random`` gives for their
-seeds; a fuzz worker takes each block's polygon margins from
-:func:`~entpoly.inequalities.polygon_margins` and keeps only its worst
-trials as :class:`~entpoly.states.MultiQuditState` objects.
-:func:`grid_scan` stacks the states of a parameter grid the same way.
+seeds.  A fuzz worker (``_run_chunk``) takes each block's (T, k) margins
+from one margin function of :mod:`~entpoly.inequalities`,
+:func:`~entpoly.inequalities.polygon_margins` unless told otherwise (table1's
+Renyi-triangle row passes :func:`~entpoly.inequalities.renyi_mixed_margins`),
+and keeps only its worst trials as :class:`~entpoly.states.MultiQuditState`
+objects.  :func:`grid_scan` stacks the states of a parameter grid the same
+way, and takes star4's slack from
+:func:`~entpoly.inequalities.bipartition_bounds` for every parameter at once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .inequalities import bipartition_margins, default_tau_hat_cuts, polygon_margins
+from .inequalities import bipartition_bounds, default_tau_hat_cuts, polygon_margins
 from .measures import MeasureSpec
 from .states import (
     MultiQuditState,
@@ -70,6 +74,8 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", as_dims(self.dims))
+        if len(self.dims) < 2:
+            raise InvalidInputError("a search needs at least 2 sites")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if not 0 < self.tol < math.inf:
@@ -125,13 +131,14 @@ def trial_blocks(dims, seed: int, start: int, stop: int):
         yield trials.start, seeds, _haar_draws(seeds, size)
 
 
-def _run_chunk(cfg: SearchConfig, start: int, stop: int):
+def _run_chunk(cfg: SearchConfig, start: int, stop: int, margins_of=polygon_margins):
+    # margins_of(amplitudes, dims, spec) gives (T, k) margins; a trial's site is its lowest column
     violations = 0
     min_margin = math.inf
     hist = np.zeros(HIST_BINS, dtype=np.int64)
     worst: list[tuple] = []  # (margin, trial, seed, site, state), lowest margin first
     for lo, seeds, amps in trial_blocks(cfg.dims, cfg.seed, start, stop):
-        margins = polygon_margins(amps, cfg.dims, cfg.spec)
+        margins = margins_of(amps, cfg.dims, cfg.spec)
         violations += int(np.count_nonzero(margins < -cfg.tol))
         hist += np.bincount(_hist_index(margins).reshape(-1), minlength=HIST_BINS)
         sites = margins.argmin(axis=-1)
@@ -302,8 +309,10 @@ def grid_scan(family: str, grid, spec: MeasureSpec) -> list[tuple[float, float, 
         else:
             raise InvalidInputError("star4 scans vary the measure parameter; use qconc or unified")
         specs = [MeasureSpec.from_token(spec.kind, q=a, r=a, s=b) for a, b in points]
-        margins = bipartition_margins(star4(), default_tau_hat_cuts(4), specs)
-        values = np.array([[res.margin for res in row] for row in margins]).min(axis=0)
+        psi = star4()
+        lhs, rhs = bipartition_bounds(psi.amplitudes[None], psi.dims, specs,
+                                      default_tau_hat_cuts(4))
+        values = (rhs - lhs)[0].min(axis=-1)
     else:
         raise InvalidInputError(
             f"unknown scan family {family!r}; expected one of {', '.join(SCAN_FAMILIES)}")

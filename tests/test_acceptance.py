@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The fuzz criterion (5)
-is the long pole at a few minutes; everything else is seconds.
+evaluates its 5 x 10^4 states a block at a time through the library's block
+inequality forms and takes a few seconds; so does everything else.
 """
 
 import itertools
@@ -10,33 +11,25 @@ import time
 
 import numpy as np
 
-from entpoly.entropies import (
-    renyi,
-    renyi0_from_spectrum,
-    renyi_from_spectrum,
-    tsallis,
-    unified_entropy,
-    von_neumann,
-)
+from entpoly.entropies import renyi, tsallis, unified_entropy, von_neumann
 from entpoly.inequalities import (
-    bipartition_margins,
+    bipartition_bounds,
+    bipartition_check,
     polygon_check,
+    polygon_slack,
     product_structure_oracle,
     renyi_mixed_check,
+    renyi_mixed_margins,
     tau_hat_indicator,
     tau_indicator,
+    triangle_bounds,
     triangle_check,
 )
-from entpoly.measures import (
-    Bipartition,
-    MeasureSpec,
-    marginal_vector_from_spectra,
-    measure_pure,
-    site_spectra,
-)
+from entpoly.measures import Bipartition, MeasureSpec, cut_values, marginal_vector, measure_pure
 from entpoly.reproduce import run_target
-from entpoly.search import SearchConfig, fuzz_polygon, mix64, report_to_json
+from entpoly.search import SearchConfig, fuzz_polygon, report_to_json, trial_blocks
 from entpoly.states import (
+    MultiQuditState,
     from_amplitudes,
     generalized_ghz3,
     ghz,
@@ -155,31 +148,43 @@ def test_criterion_04_angle_family_indicator_surface():
             ok, f"min {grid_min:.2e}, interior {interior:.3f}, {elapsed:.1f}s")
 
 
-def _fuzz_one_state(psi, cuts2):
-    """Worst inequality margin of one state across the fuzz spec lists."""
-    worst = math.inf
-    n = psi.num_sites
-    spectra = site_spectra(psi)
-    for spec in FUZZ_SPECS:
-        mv = marginal_vector_from_spectra(spectra, spec)
-        for j in range(n):
-            worst = min(worst, polygon_check(mv, j).margin)
-        if n == 3:
-            for i in range(3):
-                lower, upper = triangle_check(mv, i)
-                worst = min(worst, lower.margin, upper.margin)
-    if n == 3:
-        r0 = [renyi0_from_spectrum(w) for w in spectra]
+def _block_margins(shape, amps, cuts2):
+    """Every margin of a block, one array per check.
+
+    Polygon on every shape, triangle and mixed Renyi (RENYI_ORDERS) on three
+    sites, the 2-site bipartitions on four; FUZZ_SPECS throughout.
+    """
+    mv = cut_values(amps, shape, FUZZ_SPECS, [(j,) for j in range(len(shape))])
+    margins = {"polygon": polygon_slack(mv)}
+    if len(shape) == 3:
+        lhs, rhs = triangle_bounds(mv)
+        margins["triangle"] = rhs - lhs
         for r in RENYI_ORDERS:
-            rv = [renyi_from_spectrum(w, r) for w in spectra]
-            for i in range(3):
-                j, k = [t for t in range(3) if t != i]
-                worst = min(worst, rv[i] - (rv[j] - r0[k]), rv[j] + r0[k] - rv[i])
+            margins[f"renyi{r:g}"] = renyi_mixed_margins(amps, shape, MeasureSpec.renyi(r))
     if cuts2:
-        for row in bipartition_margins(psi, cuts2, FUZZ_SPECS):
-            for res in row:
-                worst = min(worst, res.margin)
-    return worst
+        lhs, rhs = bipartition_bounds(amps, shape, FUZZ_SPECS, cuts2)
+        margins["bipartition"] = rhs - lhs
+    return margins
+
+
+def _cross_check(shape, amps, margins, cuts2):
+    """The scalar checks agree with one row of the block forms."""
+    psi = MultiQuditState(shape, amps)
+    n = len(shape)
+    for i, spec in enumerate(FUZZ_SPECS):
+        mv = marginal_vector(psi, spec)
+        for j in range(n):
+            assert abs(polygon_check(mv, j).margin - margins["polygon"][i, j]) < 1e-12
+        for j in range(3 if n == 3 else 0):
+            for b, res in enumerate(triangle_check(mv, j)):
+                assert abs(res.margin - margins["triangle"][i, j, b]) < 1e-12
+        for c, cut in enumerate(cuts2):
+            res = bipartition_check(psi, cut, spec)
+            assert abs(res.margin - margins["bipartition"][i, c]) < 1e-12
+    for r in RENYI_ORDERS if n == 3 else ():
+        for j in range(3):
+            for b, res in enumerate(renyi_mixed_check(psi, j, r)):
+                assert abs(res.margin - margins[f"renyi{r:g}"][2 * j + b]) < 1e-12
 
 
 def test_criterion_05_fuzz_suites():
@@ -192,21 +197,12 @@ def test_criterion_05_fuzz_suites():
         cuts2 = ([Bipartition.of(side, n) for side in itertools.combinations(range(n), 2)]
                  if n >= 4 else [])
         shape_worst = math.inf
-        for t in range(trials):
-            psi = haar_random(shape, mix64(20_260_810, t))
-            shape_worst = min(shape_worst, _fuzz_one_state(psi, cuts2))
-            if n == 3 and t < 25:
-                # sampled cross-check: the per-call checker agrees with the
-                # batched spectrum path used above
-                spectra = site_spectra(psi)
-                r0 = [renyi0_from_spectrum(w) for w in spectra]
-                for r in RENYI_ORDERS:
-                    rv = [renyi_from_spectrum(w, r) for w in spectra]
-                    for i in range(3):
-                        j, k = [x for x in range(3) if x != i]
-                        lower, upper = renyi_mixed_check(psi, i, r)
-                        assert abs(lower.margin - (rv[i] - (rv[j] - r0[k]))) < 1e-12
-                        assert abs(upper.margin - (rv[j] + r0[k] - rv[i])) < 1e-12
+        # trial t is haar_random(shape, mix64(20_260_810, t))
+        for lo, _, amps in trial_blocks(shape, 20_260_810, 0, trials):
+            margins = _block_margins(shape, amps, cuts2)
+            shape_worst = min(shape_worst, *(float(m.min()) for m in margins.values()))
+            for t in range(25 if lo == 0 else 0):  # sampled cross-check, first block
+                _cross_check(shape, amps[t], {k: m[t] for k, m in margins.items()}, cuts2)
         per_shape[shape] = shape_worst
         overall = min(overall, shape_worst)
     elapsed = time.perf_counter() - t0

@@ -108,6 +108,26 @@ def test_fuzz_non_finite_tol_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_fuzz_one_site_exits_2(capsys):
+    code, out, err = run(capsys, "fuzz", "--dims", "3", "--measure", "eof", "--trials", "2")
+    assert code == 2 and out == "" and "at least 2 sites" in err
+
+
+def test_memory_error_exits_2(capsys, tmp_path, monkeypatch):
+    # a 40-qubit draw would need 16 TiB; the patched draw refuses before allocating
+    def refuse(seeds, size):
+        raise MemoryError(f"cannot draw {size} amplitudes")
+
+    monkeypatch.setattr("entpoly.states._haar_draws", refuse)
+    monkeypatch.setattr("entpoly.search._haar_draws", refuse)
+    dims = ",".join(["2"] * 40)
+    for argv in (("fuzz", "--dims", dims, "--measure", "eof", "--trials", "1"),
+                 ("sample", "--dims", dims, "--out", str(tmp_path / "big.state"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: out of memory: cannot draw {2**40} amplitudes\n"
+
+
 def test_sample_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "s.state"
     code, out, _ = run(capsys, "sample", "--dims", "2,3", "--seed", "5",

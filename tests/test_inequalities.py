@@ -8,23 +8,27 @@ from hypothesis import strategies as st
 
 from entpoly.errors import InvalidInputError
 from entpoly.inequalities import (
+    bipartition_bounds,
     bipartition_check,
-    bipartition_margins,
     default_tau_hat_cuts,
     eof_product_test,
     polygon_check,
     product_structure_oracle,
+    renyi_mixed_bounds,
     renyi_mixed_check,
+    renyi_mixed_margins,
     tau_hat_indicator,
     tau_indicator,
+    triangle_bounds,
     triangle_check,
 )
-from entpoly.measures import Bipartition, MeasureSpec, marginal_vector
+from entpoly.measures import Bipartition, MeasureSpec, cut_values, marginal_vector
 from entpoly.search import mix64
 from entpoly.states import (
     from_amplitudes,
     generalized_ghz3,
     ghz,
+    MultiQuditState,
     haar_random,
     star4,
     w_qutrit,
@@ -77,6 +81,9 @@ def test_triangle_check_w_vector():
     lower, upper = triangle_check([0.0, 0.5, 0.5], 0)
     assert abs(lower.margin) < 1e-15   # equality |0.5-0.5| = 0
     assert abs(upper.margin - 1.0) < 1e-15
+    lower, upper = triangle_check([0.25, 0.125, 0.5], 0)  # |E_1 - E_2| exceeds E_0
+    assert (lower.lhs, lower.rhs, lower.satisfied) == (0.375, 0.25, False)
+    assert (upper.lhs, upper.rhs, upper.satisfied) == (0.25, 0.625, True)
     with pytest.raises(InvalidInputError):
         triangle_check([0.5, 0.5], 0)
 
@@ -114,6 +121,8 @@ def test_renyi_mixed_validation():
         renyi_mixed_check(psi, 0, 1.0)
     with pytest.raises(InvalidInputError):
         renyi_mixed_check(haar_random((2, 2), 0), 0, 2)
+    with pytest.raises(InvalidInputError):
+        renyi_mixed_margins(psi.amplitudes[None], psi.dims, MeasureSpec.tsallis(2))
 
 
 def test_renyi_absolute_lower_bound_is_genuinely_violated():
@@ -157,16 +166,56 @@ def test_bipartition_check_five_sites():
                 assert res.margin >= -1e-9
 
 
+def _same(res, lhs, rhs):
+    # an InequalityResult equals one entry of a block form bit for bit
+    return (res.lhs, res.rhs, res.margin) == (lhs, rhs, rhs - lhs)
+
+
+def _assert_block_rows_equal_checks(dims):
+    # two Haar rows, a product row and a GHZ row: each row of the block forms
+    # equals the one-state checks and indicators
+    n = len(dims)
+    cat = np.zeros(dims, dtype=complex)
+    for k in range(min(dims)):
+        cat[(k,) * n] = 1 / math.sqrt(min(dims))
+    block = np.stack([haar_random(dims, 70 + t).amplitudes for t in range(2)]
+                     + [product_state(dims, [(j,) for j in range(n)], 80).amplitudes,
+                        cat.reshape(-1)])
+    cuts = default_tau_hat_cuts(n)
+    lhs, rhs = bipartition_bounds(block, dims, ENTROPY_SPECS, cuts)
+    assert lhs.shape == rhs.shape == (4, len(ENTROPY_SPECS), len(cuts))
+    for t, amps in enumerate(block):
+        psi = MultiQuditState(dims, amps)
+        for i, spec in enumerate(ENTROPY_SPECS):
+            for c, cut in enumerate(cuts):
+                assert _same(bipartition_check(psi, cut, spec), lhs[t, i, c], rhs[t, i, c])
+            slacks = rhs[t, i] - lhs[t, i]
+            tau_hat = tau_hat_indicator(psi, None, spec)
+            assert (tau_hat.value, tau_hat.argmin_site) == (slacks.min(), slacks.argmin())
+    if n != 3:
+        return
+    tri_lhs, tri_rhs = triangle_bounds(cut_values(block, dims, ENTROPY_SPECS, [(0,), (1,), (2,)]))
+    for r in (0.5, 2.0, 3.0):
+        ren_lhs, ren_rhs = renyi_mixed_bounds(block, dims, r)
+        for t, amps in enumerate(block):
+            psi = MultiQuditState(dims, amps)
+            for j in range(3):
+                for b, res in enumerate(renyi_mixed_check(psi, j, r)):
+                    assert _same(res, ren_lhs[t, j, b], ren_rhs[t, j, b])
+    for t, amps in enumerate(block):
+        psi = MultiQuditState(dims, amps)
+        for i, spec in enumerate(ENTROPY_SPECS):
+            for j in range(3):
+                for b, res in enumerate(triangle_check(marginal_vector(psi, spec), j)):
+                    assert _same(res, tri_lhs[t, i, j, b], tri_rhs[t, i, j, b])
+
+
 def test_bipartition_margins_batch_matches_per_call():
-    psi = haar_random((2, 3, 2, 2), 11)
-    cuts = [Bipartition.of(side, 4) for side in itertools.combinations(range(4), 2)]
-    batch = bipartition_margins(psi, cuts, ENTROPY_SPECS)
-    for ci, cut in enumerate(cuts):
-        for si, spec in enumerate(ENTROPY_SPECS):
-            res = bipartition_check(psi, cut, spec)
-            assert abs(batch[ci][si].margin - res.margin) < 1e-12
+    for dims in ((3, 3, 3), (2, 3, 4), (8, 2, 2, 2)):
+        _assert_block_rows_equal_checks(dims)
     with pytest.raises(InvalidInputError):
-        bipartition_check(psi, cuts[0], MeasureSpec.negativity())
+        bipartition_check(haar_random((2, 3, 2, 2), 11), Bipartition.of((0, 1), 4),
+                          MeasureSpec.negativity())
 
 
 def test_tau_ghz_scaling():
@@ -240,6 +289,8 @@ def test_tau_hat_explicit_cuts_and_argmin():
     res = tau_hat_indicator(star4(), cuts, MeasureSpec.qconcurrence(2))
     assert res.argmin_site == 1      # the {3,4}-side orientation attains 1/4
     assert abs(res.value - 0.25) < 1e-12
+    with pytest.raises(InvalidInputError):
+        tau_hat_indicator(star4(), [], MeasureSpec.qconcurrence(2))
 
 
 def test_eof_product_test_cases():
@@ -309,3 +360,6 @@ def proved_polygon_cases(draw):
 def test_polygon_margin_nonnegative_on_haar_states(case):
     psi, spec = case
     assert tau_indicator(psi, spec).value >= -DEFAULT_TOL
+    if psi.num_sites == 3:  # the paper's lower and upper triangle bounds
+        lhs, rhs = triangle_bounds(marginal_vector(psi, spec))
+        assert (rhs - lhs).min() >= -DEFAULT_TOL

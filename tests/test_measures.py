@@ -14,11 +14,9 @@ from entpoly.measures import (
     MeasureSpec,
     cut_values,
     marginal_vector,
-    marginal_vector_from_spectra,
     measure_network,
     measure_pure,
     network_marginal_vector,
-    site_spectra,
     total_entanglement,
     value_from_spectrum,
 )
@@ -245,17 +243,6 @@ def test_marginal_vector_known_states():
     np.testing.assert_allclose(mv, [7 / 8, 0.5, 0.5, 0.5], atol=1e-12)
     mv = marginal_vector(zero_epr(), MeasureSpec.qconcurrence(2))
     np.testing.assert_allclose(mv, [0.0, 0.5, 0.5], atol=1e-12)
-
-
-def test_marginal_vector_matches_spectra_shortcut():
-    psi = haar_random((3, 2, 4), 7)
-    spectra = site_spectra(psi)
-    for spec in ALL_SPECS:
-        if spec.kind == "neg":
-            continue
-        np.testing.assert_allclose(marginal_vector(psi, spec),
-                                   marginal_vector_from_spectra(spectra, spec),
-                                   atol=0)
 
 
 SEVEN_SPECS = [MeasureSpec.from_token(t, q=3.5, r=2.5, s=0.5) for t in MEASURE_TOKENS]
