@@ -24,7 +24,7 @@ import numpy as np
 from .entropies import EntropyParams, _value
 from .errors import InvalidInputError, UnsupportedMeasureError
 from .states import MultiQuditState, NetworkState
-from .tensor import _cut_spectrum, _pure_block, as_dims, as_sites
+from .tensor import _cut_spectrum, _pure_block, as_dims, as_int, as_sites
 from .tolerances import LIMIT_TOL
 
 
@@ -77,8 +77,8 @@ class Bipartition:
     side_b: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted(int(j) for j in self.side_a))
-        b = tuple(sorted(int(j) for j in self.side_b))
+        a = tuple(sorted(as_int(j, "site index") for j in self.side_a))
+        b = tuple(sorted(as_int(j, "site index") for j in self.side_b))
         if not a or not b:
             raise InvalidInputError("both sides of a bipartition must be nonempty")
         if len(set(a)) != len(a) or len(set(b)) != len(b) or set(a) & set(b):

@@ -40,7 +40,6 @@ from .states import (
     star4,
     w_qutrit,
 )
-from .tensor import partial_trace
 from .tolerances import LIMIT_TOL, LOG_EPS
 
 TARGETS = ("example1", "example2", "example3", "example4", "example5", "example6",
@@ -192,11 +191,9 @@ def example4(n: int = 3, q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
         raise InvalidInputError("the complete-graph scenario needs n >= 2")
     sheet = _Sheet()
     net = compose_network(_complete_graph(n))
+    half = Resource.epr(0, 1).spectrum((True, False))  # one party's half of a pair
     for spec in (MeasureSpec.qconcurrence(q), MeasureSpec.unified(r, s)):
-        per_pair = []
-        for _pair in range(n - 1):
-            half = partial_trace(Resource.epr(0, 1).density(), (2, 2), (0,))
-            per_pair.append(spec.entropy_params().of_matrix(half))
+        per_pair = [spec.entropy_params().of_spectrum(half) for _pair in range(n - 1)]
         sheet.add(f"additive_marginal[{spec.kind}]",
                   (n - 1) * _closed_uniform(spec, 2), float(sum(per_pair)))
         mv = network_marginal_vector(net, spec)

@@ -12,8 +12,8 @@ from one margin function of :mod:`~entpoly.inequalities`,
 :func:`~entpoly.inequalities.polygon_margins` unless told otherwise (table1's
 Renyi-triangle row passes :func:`~entpoly.inequalities.renyi_mixed_margins`),
 and keeps only its worst trials as :class:`~entpoly.states.MultiQuditState`
-objects.  :func:`grid_scan` stacks the states of a parameter grid the same
-way, and takes star4's slack from
+objects.  :func:`grid_scan` fills the rows of an angle family's blocks
+directly (:func:`~entpoly.states.angle_rows`), and takes star4's slack from
 :func:`~entpoly.inequalities.bipartition_bounds` for every parameter at once.
 """
 
@@ -31,15 +31,16 @@ from .errors import InvalidInputError
 from .inequalities import bipartition_bounds, default_tau_hat_cuts, polygon_margins
 from .measures import MeasureSpec
 from .states import (
+    ANGLE_FAMILIES,
     MultiQuditState,
     _haar_draws,
-    generalized_ghz3,
+    angle_rows,
     haar_random,  # the per-trial state of the fuzz, looked up on this module by callers
     star4,
     state_from_dict,
     state_to_dict,
 )
-from .tensor import as_dims
+from .tensor import as_dims, as_int
 from .tolerances import DEFAULT_TOL
 
 HIST_BINS = 64
@@ -74,6 +75,8 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", as_dims(self.dims))
+        object.__setattr__(self, "trials", as_int(self.trials, "trials"))
+        object.__setattr__(self, "record_worst", as_int(self.record_worst, "record_worst"))
         if len(self.dims) < 2:
             raise InvalidInputError("a search needs at least 2 sites")
         if self.trials < 1:
@@ -162,7 +165,7 @@ def fuzz_polygon(cfg: SearchConfig, workers: int = 1) -> ViolationReport:
     ``os.cpu_count()`` processes run, and never more than there are chunks
     of trials.
     """
-    if workers < 1:
+    if as_int(workers, "workers") < 1:
         raise InvalidInputError("workers must be >= 1")
     workers = min(workers, os.cpu_count() or 1)
     chunk = math.ceil(cfg.trials / workers)
@@ -257,23 +260,12 @@ SCAN_FAMILIES = ("generalized_ghz3", "w_interp", "star4")
 
 def _w_interp_state(theta: float, phi: float) -> MultiQuditState:
     # Three-qubit single-excitation family: angle-weighted |100>, |010>, |001>.
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[4] = math.sin(theta) * math.cos(phi)
-    amps[2] = math.sin(theta) * math.sin(phi)
-    amps[1] = math.cos(theta)
-    nrm = np.linalg.norm(amps)
-    return MultiQuditState((2, 2, 2), amps / nrm)
-
-
-# angle family -> (state constructor, total dimension)
-_ANGLE_FAMILIES = {"generalized_ghz3": (generalized_ghz3, 27), "w_interp": (_w_interp_state, 8)}
+    return MultiQuditState((2, 2, 2), angle_rows("w_interp", [(theta, phi)])[0])
 
 
 def _grid_shape(grid) -> tuple[int, int]:
-    if isinstance(grid, int):
-        return grid, grid
-    n1, n2 = grid
-    return int(n1), int(n2)
+    n1, n2 = (grid, grid) if np.ndim(grid) == 0 else grid
+    return as_int(n1, "grid resolution"), as_int(n2, "grid resolution")
 
 
 def grid_scan(family: str, grid, spec: MeasureSpec) -> list[tuple[float, float, float]]:
@@ -291,15 +283,13 @@ def grid_scan(family: str, grid, spec: MeasureSpec) -> list[tuple[float, float, 
     n1, n2 = _grid_shape(grid)
     if n1 < 2 or n2 < 2:
         raise InvalidInputError("grid resolution must be >= 2 per axis")
-    if family in _ANGLE_FAMILIES:
-        build, size = _ANGLE_FAMILIES[family]
+    if family in ANGLE_FAMILIES:
+        dims = ANGLE_FAMILIES[family][0]
         points = [(float(theta), float(phi)) for theta in np.linspace(0.0, math.pi, n1)
                   for phi in np.linspace(0.0, 2.0 * math.pi, n2)]
         values = []
-        for block in _blocks(points, size):
-            states = [build(*point) for point in block]
-            values += list(polygon_margins(np.stack([psi.amplitudes for psi in states]),
-                                           states[0].dims, spec).min(axis=-1))
+        for block in _blocks(points, math.prod(dims)):
+            values += list(polygon_margins(angle_rows(family, block), dims, spec).min(axis=-1))
     elif family == "star4":
         if spec.kind == "qconc":
             points = [(float(q), 0.0) for q in np.linspace(2.0, 9.0, n1)]

@@ -6,13 +6,19 @@ from two-party and multi-party resources is composed into a
 stored as its resources: the spectrum of any party reduction is the product
 of small per-resource spectra, and the dense density is built only when
 accessed.
+
+Every pure state, however it is built, passes the one entry check of
+:mod:`~entpoly.tensor`: ``as_dims`` for its dims and ``_pure_block`` for its
+amplitudes.  The angle families of ``ANGLE_FAMILIES`` are built as the rows
+of a (T, D) block by :func:`angle_rows`; :func:`generalized_ghz3` is a
+one-row call of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,8 +26,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .tensor import (
-    as_dims, as_sites, is_hermitian, kron, partial_trace, reduced_of_pure, total_dim)
-from .tolerances import NORM_LOAD_TOL, NORM_TOL, TRACE_TOL
+    _norms, _pure_block, as_dims, as_int, as_sites, is_hermitian, kron, partial_trace,
+    reduced_of_pure)
+from .tolerances import NORM_LOAD_TOL, TRACE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,17 +40,7 @@ class MultiQuditState:
 
     def __post_init__(self):
         dims = as_dims(self.dims)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != total_dim(dims):
-            raise InvalidInputError(
-                f"expected {total_dim(dims)} amplitudes for dims {list(dims)}, "
-                f"got {amps.size}")
-        nrm = float(np.linalg.norm(amps))
-        if not math.isfinite(nrm):
-            raise InvalidInputError(f"amplitudes must be finite, norm is {nrm}")
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise InvalidInputError("amplitudes are not normalized")
-        amps = amps.copy()
+        amps = _pure_block(np.ravel(self.amplitudes), dims).copy()
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -67,36 +64,47 @@ class MultiQuditState:
 def from_amplitudes(dims, amplitudes) -> MultiQuditState:
     """Build a state, renormalizing when the norm is within ``NORM_LOAD_TOL`` of 1.
 
-    A zero vector or a norm outside the tolerance band is rejected: it is
-    more likely a malformed input than an unnormalized state.
+    A norm outside the tolerance band, a zero vector included, is rejected:
+    it is more likely a malformed input than an unnormalized state.
     """
     dims = as_dims(dims)
-    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if amps.size != total_dim(dims):
-        raise InvalidInputError(
-            f"expected {total_dim(dims)} amplitudes for dims {list(dims)}, got {amps.size}")
-    nrm = float(np.linalg.norm(amps))
-    if not math.isfinite(nrm):
-        raise InvalidInputError(f"amplitudes must be finite, norm is {nrm}")
-    if nrm == 0.0:
-        raise InvalidInputError("amplitude vector is zero")
-    if abs(nrm - 1.0) > NORM_LOAD_TOL:
-        raise InvalidInputError(f"norm {nrm!r} is outside the accepted band around 1")
-    return MultiQuditState(dims, amps / nrm)
+    amps = _pure_block(np.ravel(amplitudes), dims, NORM_LOAD_TOL)
+    return MultiQuditState(dims, amps / _norms(amps))
 
 
 def ghz(d: int, m: int) -> MultiQuditState:
     """m-party d-dimensional cat state: uniform over the m-fold repeated kets."""
+    d, m = as_int(d, "ghz dimension"), as_int(m, "ghz party count")
     if d < 2 or m < 2:
         raise InvalidInputError("ghz requires d >= 2 and m >= 2")
+    dims = as_dims(itertools.repeat(d, m))  # refuses an oversized state before building it
     amps = np.zeros(d**m, dtype=np.complex128)
     step = (d**m - 1) // (d - 1)  # index of |j...j> is j * (1 + d + ... + d^(m-1))
     amps[np.arange(d) * step] = 1.0 / math.sqrt(d)
-    return MultiQuditState((d,) * m, amps)
+    return MultiQuditState(dims, amps)
 
 
 def epr() -> MultiQuditState:
     return ghz(2, 2)
+
+
+# angle family -> (dims, indices of its sin(theta)cos(phi), sin(theta)sin(phi) and
+# cos(theta) amplitudes): three-qutrit |000>, |111>, |222> and three-qubit |100>, |010>, |001>
+ANGLE_FAMILIES = {"generalized_ghz3": ((3, 3, 3), (0, 13, 26)),
+                  "w_interp": ((2, 2, 2), (4, 2, 1))}
+
+
+def angle_rows(family: str, points) -> np.ndarray:
+    """The states of an angle family at each (theta, phi) of ``points``, as (T, D) rows.
+
+    Row t holds sin(theta)cos(phi), sin(theta)sin(phi) and cos(theta) at the
+    family's three indices, divided by its norm.
+    """
+    dims, cols = ANGLE_FAMILIES[family]
+    rows = np.zeros((len(points), math.prod(dims)), dtype=np.complex128)
+    rows[:, cols] = [(math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                      math.cos(theta)) for theta, phi in points]
+    return rows / _norms(rows)[:, None]
 
 
 def generalized_ghz3(theta: float, phi: float) -> MultiQuditState:
@@ -105,11 +113,7 @@ def generalized_ghz3(theta: float, phi: float) -> MultiQuditState:
     Marginal eigenvalues are sin^2(theta)cos^2(phi), sin^2(theta)sin^2(phi)
     and cos^2(theta) on every site.
     """
-    amps = np.zeros(27, dtype=np.complex128)
-    amps[0] = math.sin(theta) * math.cos(phi)
-    amps[13] = math.sin(theta) * math.sin(phi)
-    amps[26] = math.cos(theta)
-    return from_amplitudes((3, 3, 3), amps)
+    return MultiQuditState((3, 3, 3), angle_rows("generalized_ghz3", [(theta, phi)])[0])
 
 
 def w_qutrit() -> MultiQuditState:
@@ -149,7 +153,7 @@ def haar_random(dims, seed: int) -> MultiQuditState:
     independent for fuzzing purposes.
     """
     dims = as_dims(dims)
-    return MultiQuditState(dims, _haar_draws((seed,), total_dim(dims))[0])
+    return MultiQuditState(dims, _haar_draws((seed,), math.prod(dims))[0])
 
 
 def _haar_draws(seeds, size: int) -> np.ndarray:
@@ -163,8 +167,7 @@ def _haar_draws(seeds, size: int) -> np.ndarray:
     for row, seed in zip(x, seeds):
         np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF).standard_normal(out=row)
     z = x[:, 0] + 1j * x[:, 1]
-    # per row, the sum np.linalg.norm forms for one complex vector
-    nrm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+    nrm = _norms(z)
     if np.count_nonzero(nrm == 0.0):  # unreachable in practice, guards the division
         raise InvalidInputError("degenerate zero sample")
     return z / nrm[:, None]
@@ -177,14 +180,6 @@ RESOURCE_KINDS = ("epr", "ghz", "ghz_diag")
 # a 2^12 x 2^12 complex density is 256 MiB, and building it holds a few such
 # arrays at once.
 MAX_NETWORK_DIM = 2**12
-
-
-def _as_int(value, what: str) -> int:
-    # an integral value (int, numpy integer), never a float or a string
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -208,8 +203,8 @@ class Resource:
         except TypeError:
             raise InvalidInputError(
                 f"resource parties must be a sequence, got {self.parties!r}") from None
-        object.__setattr__(self, "parties", tuple(_as_int(p, "party index") for p in parties))
-        object.__setattr__(self, "d", _as_int(self.d, "resource dimension"))
+        object.__setattr__(self, "parties", tuple(as_int(p, "party index") for p in parties))
+        object.__setattr__(self, "d", as_int(self.d, "resource dimension"))
         if self.d < 2:
             raise InvalidInputError("resource dimension must be >= 2")
         want = 2 if self.kind in ("epr", "ghz_diag") else len(self.parties)
@@ -269,7 +264,7 @@ class NetworkSpec:
     resources: tuple[Resource, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "parties", _as_int(self.parties, "party count"))
+        object.__setattr__(self, "parties", as_int(self.parties, "party count"))
         object.__setattr__(self, "resources", tuple(self.resources))
         if self.parties < 2:
             raise InvalidInputError("a network needs at least 2 parties")
@@ -377,7 +372,7 @@ def compose_network(spec: NetworkSpec) -> NetworkState:
 
 def state_to_dict(psi: MultiQuditState) -> dict:
     return {
-        "dims": [int(d) for d in psi.dims],
+        "dims": list(psi.dims),
         "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
     }
 

@@ -3,33 +3,62 @@
 Sites are numbered left to right; site 0 is the leftmost (most significant)
 tensor factor in the row-major flattening of state vectors and operators.
 All functions are pure and never mutate their arguments.
+
+Every pure-state input passes one entry check: :func:`as_int` is the only
+integer rule (dims, site indices, counts), :func:`as_dims` the only dims
+check (with its ``MAX_STATE_DIM`` cap), and ``_pure_block`` the only
+amplitude check (length, finiteness, and the norm band, with the one norm
+formula of ``_norms``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .tolerances import HERMITIAN_TOL, NORM_TOL
 
+# Largest pure-state vector accepted, in amplitudes (256 MiB of complex128):
+# a larger product of dims is refused before anything is allocated.
+MAX_STATE_DIM = 2**24
+
+
+def as_int(value, what: str) -> int:
+    """An integral value (int, numpy integer), never a float or a string."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
 
 def as_dims(dims) -> tuple[int, ...]:
-    """Validate a per-site dimension list (every entry >= 2)."""
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 2 for d in out):
-        raise InvalidInputError(f"site dimensions must all be >= 2, got {list(dims)}")
-    return out
+    """Validate a per-site dimension list: integers >= 2 with product at most ``MAX_STATE_DIM``.
 
-
-def total_dim(dims) -> int:
-    return math.prod(as_dims(dims))
+    The product is checked entry by entry, so a lazy iterable of any length
+    is refused after at most log2(``MAX_STATE_DIM``) + 1 entries.
+    """
+    out, size = [], 1
+    for d in dims:
+        d = as_int(d, "site dimension")
+        if d < 2:
+            raise InvalidInputError(f"site dimensions must all be >= 2, got {d}")
+        size *= d
+        if size > MAX_STATE_DIM:
+            raise InvalidInputError(
+                f"the product of the site dimensions exceeds MAX_STATE_DIM "
+                f"({MAX_STATE_DIM} amplitudes)")
+        out.append(d)
+    if not out:
+        raise InvalidInputError("a state needs at least one site")
+    return tuple(out)
 
 
 def as_sites(sites, num_sites: int) -> tuple[int, ...]:
     """Normalize a duplicate-free site selection to a sorted tuple."""
-    out = tuple(sorted(int(j) for j in sites))
+    out = tuple(sorted(as_int(j, "site index") for j in sites))
     if any(j < 0 or j >= num_sites for j in out):
         raise InvalidInputError(
             f"site index out of range for {num_sites} sites: {list(sites)}")
@@ -70,7 +99,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     dims = as_dims(dims)
     n = len(dims)
     keep = as_sites(keep, n)
-    a = _square(rho, total_dim(dims))
+    a = _square(rho, math.prod(dims))
     traced = tuple(j for j in range(n) if j not in keep)
     if not traced:
         return a.copy()
@@ -81,8 +110,13 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return np.einsum("atbt->ab", t.reshape(dk, dt, dk, dt))
 
 
-def _pure_block(amplitudes, dims) -> np.ndarray:
-    # one state vector, or a (T, D) batch, with every row finite and normalized
+def _norms(v) -> np.ndarray:
+    # the norm of each row, from the sum np.linalg.norm forms for one complex vector
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _pure_block(amplitudes, dims, tol: float = NORM_TOL) -> np.ndarray:
+    # one state vector, or a (T, D) batch, with every row finite and its norm within tol of 1
     size = math.prod(dims)
     v = np.asarray(amplitudes, dtype=np.complex128)
     v = v.reshape(v.shape[:1] + (-1,) if v.ndim == 2 else (-1,))
@@ -90,10 +124,10 @@ def _pure_block(amplitudes, dims) -> np.ndarray:
         raise InvalidInputError(
             f"amplitude vector length {v.shape[-1]} does not match the product "
             f"of the site dimensions ({size})")
-    if not np.isfinite(v).all():
-        raise InvalidInputError("amplitudes must be finite")
-    err = np.abs(np.sqrt(np.vecdot(v, v).real) - 1.0)
-    if np.count_nonzero(err > NORM_TOL):
+    err = np.abs(_norms(v) - 1.0)
+    if np.count_nonzero(err <= tol) != err.size:  # a non-finite amplitude gives a NaN or inf norm
+        if not np.isfinite(v).all():
+            raise InvalidInputError("amplitudes must be finite")
         raise InvalidInputError(f"state is not normalized: |norm-1| = {err.max():.3e}")
     return v
 
@@ -149,7 +183,7 @@ def partial_transpose(rho, dims, subset) -> np.ndarray:
     dims = as_dims(dims)
     n = len(dims)
     subset = as_sites(subset, n)
-    a = _square(rho, total_dim(dims))
+    a = _square(rho, math.prod(dims))
     axes = list(range(2 * n))
     for j in subset:
         axes[j], axes[n + j] = axes[n + j], axes[j]

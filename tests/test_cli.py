@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,18 +115,35 @@ def test_fuzz_one_site_exits_2(capsys):
 
 
 def test_memory_error_exits_2(capsys, tmp_path, monkeypatch):
-    # a 40-qubit draw would need 16 TiB; the patched draw refuses before allocating
+    # a 24-qubit draw passes the dims check; the patched draw stands in for a
+    # host that cannot allocate it, and refuses before allocating
     def refuse(seeds, size):
         raise MemoryError(f"cannot draw {size} amplitudes")
 
     monkeypatch.setattr("entpoly.states._haar_draws", refuse)
     monkeypatch.setattr("entpoly.search._haar_draws", refuse)
-    dims = ",".join(["2"] * 40)
+    dims = ",".join(["2"] * 24)
     for argv in (("fuzz", "--dims", dims, "--measure", "eof", "--trials", "1"),
                  ("sample", "--dims", dims, "--out", str(tmp_path / "big.state"))):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == f"error: out of memory: cannot draw {2**40} amplitudes\n"
+        assert err == f"error: out of memory: cannot draw {2**24} amplitudes\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "example3", "--d", "1000", "--m", "12"),
+    ("fuzz", "--dims", ",".join(["2"] * 30), "--measure", "eof", "--trials", "1"),
+])
+def test_oversized_pure_state_exits_2_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "MAX_STATE_DIM" in err
+    assert peak < 2**20
 
 
 def test_sample_roundtrip(capsys, tmp_path):

@@ -11,6 +11,7 @@ from entpoly.states import (
     MAX_NETWORK_DIM,
     MultiQuditState,
     NetworkSpec,
+    angle_rows,
     Resource,
     compose_network,
     epr,
@@ -25,6 +26,7 @@ from entpoly.states import (
     state_to_dict,
     w_qutrit,
 )
+from entpoly.search import _w_interp_state
 from entpoly.tensor import hermitian_eigenvalues, kron, partial_trace, reduced_of_pure
 
 
@@ -104,6 +106,28 @@ def test_generalized_ghz3_half_angle_marginals():
     psi = generalized_ghz3(math.pi / 2, math.pi / 4)
     vals = hermitian_eigenvalues(psi.reduced((0,)))
     np.testing.assert_allclose(vals, [0.0, 0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("family, dims, indices", [
+    ("generalized_ghz3", (3, 3, 3), (0, 13, 26)),
+    ("w_interp", (2, 2, 2), (4, 2, 1)),
+])
+def test_angle_rows_match_written_out_amplitudes(family, dims, indices):
+    thetas = [0.0, 0.4, math.pi / 2, 2.2, math.pi]
+    phis = [0.0, 1.3, math.pi / 2, 3.9, 2 * math.pi]
+    points = [(theta, phi) for theta in thetas for phi in phis]
+    rows = angle_rows(family, points)
+    assert rows.shape == (len(points), math.prod(dims))
+    for row, (theta, phi) in zip(rows, points):
+        want = np.zeros(math.prod(dims), dtype=np.complex128)
+        want[list(indices)] = [math.sin(theta) * math.cos(phi),
+                               math.sin(theta) * math.sin(phi),
+                               math.cos(theta)]
+        want = want / np.linalg.norm(want)
+        assert row.tobytes() == want.tobytes()  # bit for bit
+        psi = (generalized_ghz3(theta, phi) if family == "generalized_ghz3"
+               else _w_interp_state(theta, phi))
+        assert psi.dims == dims and psi.amplitudes.tobytes() == want.tobytes()
 
 
 def test_w_qutrit_marginals():

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from entpoly.errors import InvalidInputError
-from entpoly.states import from_amplitudes, ghz, haar_random, star4
+from entpoly.measures import Bipartition, MeasureSpec
+from entpoly.search import SearchConfig, fuzz_polygon, grid_scan
+from entpoly.states import (
+    MultiQuditState, NetworkSpec, Resource, from_amplitudes, ghz, haar_random, star4)
 from entpoly.tensor import (
+    MAX_STATE_DIM,
+    as_dims,
+    as_sites,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     kron,
@@ -204,3 +212,48 @@ def test_partial_transpose_involution_and_trace():
         np.testing.assert_array_equal(partial_transpose(pt, dims, subset), rho)
         assert abs(np.trace(pt) - np.trace(rho)) < 1e-14
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
+
+
+_EOF = MeasureSpec.eof()
+_E0 = np.eye(4)[0]
+# entry point -> a call that takes one integer through it (x = 2 is a valid value)
+INTEGER_ENTRY_POINTS = {
+    "haar_random": lambda x: haar_random((x, 3), 0),
+    "MultiQuditState": lambda x: MultiQuditState((x, 2), _E0),
+    "from_amplitudes": lambda x: from_amplitudes((2, x), _E0),
+    "ghz_d": lambda x: ghz(x, 3),
+    "ghz_m": lambda x: ghz(3, x),
+    "SearchConfig_dims": lambda x: SearchConfig(dims=(x, 2), spec=_EOF, trials=2),
+    "SearchConfig_trials": lambda x: SearchConfig(dims=(2, 2), spec=_EOF, trials=x),
+    "SearchConfig_record_worst":
+        lambda x: SearchConfig(dims=(2, 2), spec=_EOF, trials=2, record_worst=x),
+    # one trial is one chunk, so no worker process starts
+    "fuzz_polygon_workers":
+        lambda x: fuzz_polygon(SearchConfig(dims=(2, 2), spec=_EOF, trials=1), workers=x),
+    "Bipartition": lambda x: Bipartition((0,), (x,)),
+    "as_sites": lambda x: as_sites((0, x), 3),
+    "grid_scan": lambda x: grid_scan("w_interp", (x, 2), _EOF),
+    "Resource": lambda x: Resource.ghz(x, (0, 1)),
+    "NetworkSpec": lambda x: NetworkSpec(x, (Resource.epr(0, 1),)),
+}
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, 2.5])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_one_integer_rule_at_every_entry_point(entry, value):
+    call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call(value)
+    call(np.int64(2))  # numpy integers are integers
+
+
+def test_state_dimension_cap():
+    assert as_dims((2,) * 24) == (2,) * 24
+    assert math.prod(as_dims((2,) * 24)) == MAX_STATE_DIM
+    with pytest.raises(InvalidInputError, match="MAX_STATE_DIM"):
+        as_dims((2,) * 25)
+    # the product is checked entry by entry, so neither call builds its dims
+    with pytest.raises(InvalidInputError, match="MAX_STATE_DIM"):
+        ghz(2, 10**15)
+    with pytest.raises(InvalidInputError, match="MAX_STATE_DIM"):
+        haar_random((2**12, 2**12, 2), 0)
