@@ -22,7 +22,6 @@ from .inequalities import (
     InequalityResult,
     bipartition_check,
     default_tau_hat_cuts,
-    eof_product_test,
     polygon_check,
     product_structure_oracle,
     renyi_mixed_check,
@@ -75,7 +74,6 @@ from .tensor import (
     partial_transpose,
     reduced_of_pure,
     schmidt_spectrum,
-    trace_power,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .inequalities import (
     tau_indicator,
     triangle_check,
 )
-from .measures import Bipartition, MeasureSpec, marginal_vector, measure_pure
+from .measures import MEASURE_TOKENS, Bipartition, MeasureSpec, marginal_vector, measure_pure
 from .reproduce import TARGETS, run_target
 from .search import SCAN_FAMILIES, SearchConfig, fuzz_polygon, grid_scan, report_to_json
 from .states import haar_random, load_state, save_state
@@ -68,7 +68,7 @@ def _spec_from_args(args) -> MeasureSpec:
 
 def _add_measure_flags(parser, required: bool = True):
     parser.add_argument("--measure", required=required,
-                        help="qconc|unified|renyi|tsallis|eof|conc|neg")
+                        help="|".join(MEASURE_TOKENS))
     parser.add_argument("--q", type=float, help="order for qconc")
     parser.add_argument("--r", type=float, help="order for unified/renyi/tsallis")
     parser.add_argument("--s", type=float, help="second unified parameter")

@@ -13,8 +13,10 @@ same inputs:
 
 Each ``*_from_spectrum`` function checks its own (finite) parameter domain
 and reduces over the last axis: one spectrum gives a float, a stack of
-spectra an array of values.  :class:`EntropyParams` reaches them only
-through ``_ENTROPY_TABLE``.
+spectra an array of values.  The measures of :mod:`entpoly.measures` call
+these functionals directly, from their one table.  :class:`EntropyParams`
+names a functional and its parameters for the dense API
+(:meth:`EntropyParams.of_matrix`), through ``_ENTROPY_TABLE``.
 
 Limit dispatch: a unified entropy with s within ``LIMIT_TOL`` of 0
 evaluates the Renyi entropy, and unified/Renyi/Tsallis with r within
@@ -154,7 +156,6 @@ _ENTROPY_TABLE = {
     "vn": ((), von_neumann_from_spectrum),
     "renyi0": ((), renyi0_from_spectrum),
 }
-ENTROPY_KINDS = tuple(_ENTROPY_TABLE)
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,10 @@ class InequalityResult:
     tol: float
 
     @staticmethod
-    def of(lhs: float, rhs: float, tol: float) -> "InequalityResult":
+    def of(lhs: float, rhs: float, margin: float, tol: float) -> "InequalityResult":
+        # margin comes from the family's block form, which can round it apart from rhs - lhs
         if not math.isfinite(tol):
             raise InvalidInputError(f"tol must be finite, got {tol}")
-        margin = rhs - lhs
         return InequalityResult(lhs, rhs, margin, margin >= -tol, tol)
 
 
@@ -56,15 +56,18 @@ class IndicatorResult:
 
 
 def polygon_check(mv, j: int, tol: float = DEFAULT_TOL) -> InequalityResult:
-    """mv[j] <= sum of the other entries (the polygon side bound)."""
+    """mv[j] <= sum of the other entries (the polygon side bound).
+
+    The margin is :func:`polygon_slack`'s entry j, the value the indicator
+    and the fuzz read.
+    """
     mv = np.asarray(mv, dtype=float)
     if mv.size == 0:
         raise InvalidInputError("marginal vector is empty")
     if j < 0 or j >= mv.size:
         raise InvalidInputError(f"site {j} out of range for {mv.size} marginals")
-    lhs = float(mv[j])
-    rhs = float(np.sum(mv) - mv[j])
-    return InequalityResult.of(lhs, rhs, tol)
+    return InequalityResult.of(float(mv[j]), float(np.sum(mv) - mv[j]),
+                               float(polygon_slack(mv)[j]), tol)
 
 
 _J, _K = [1, 0, 0], [2, 2, 1]  # the remaining sites j < k of each site i of three
@@ -84,7 +87,8 @@ def triangle_check(mv, i: int, tol: float = DEFAULT_TOL):
     lhs, rhs = triangle_bounds(np.ravel(mv))
     if i < 0 or i > 2:
         raise InvalidInputError(f"site {i} out of range for a three-site state")
-    return tuple(InequalityResult.of(float(lhs[i, b]), float(rhs[i, b]), tol) for b in (0, 1))
+    return tuple(InequalityResult.of(float(lhs[i, b]), float(rhs[i, b]),
+                                     float(rhs[i, b] - lhs[i, b]), tol) for b in (0, 1))
 
 
 def renyi_mixed_bounds(amplitudes, dims, r: float):
@@ -125,8 +129,8 @@ def renyi_mixed_check(psi: MultiQuditState, i: int, r: float,
     if i < 0 or i > 2:
         raise InvalidInputError(f"site {i} out of range for a three-site state")
     lhs, rhs = renyi_mixed_bounds(psi.amplitudes[None], psi.dims, r)
-    return tuple(InequalityResult.of(float(lhs[0, i, b]), float(rhs[0, i, b]), tol)
-                 for b in (0, 1))
+    return tuple(InequalityResult.of(float(lhs[0, i, b]), float(rhs[0, i, b]),
+                                     float(rhs[0, i, b] - lhs[0, i, b]), tol) for b in (0, 1))
 
 
 def bipartition_check(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec,
@@ -135,7 +139,8 @@ def bipartition_check(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec,
     if not spec.is_entropy_based:
         raise InvalidInputError("bipartition_check needs an entropy-based measure")
     lhs, rhs = bipartition_bounds(psi.amplitudes[None], psi.dims, [spec], [cut])
-    return InequalityResult.of(float(lhs[0, 0, 0]), float(rhs[0, 0, 0]), tol)
+    return InequalityResult.of(float(lhs[0, 0, 0]), float(rhs[0, 0, 0]),
+                               float(rhs[0, 0, 0] - lhs[0, 0, 0]), tol)
 
 
 def bipartition_bounds(amplitudes, dims, specs, cuts):
@@ -216,14 +221,3 @@ def product_structure_oracle(psi: MultiQuditState, tol: float = DEFAULT_TOL) -> 
             return True
     return False
 
-
-def eof_product_test(psi: MultiQuditState, tol: float = DEFAULT_TOL) -> bool:
-    """True when the EOF indicator vanishes, i.e. the state is a product.
-
-    For three-site pure states a zero indicator is equivalent to product
-    structure across some cut (see :func:`product_structure_oracle` for the
-    direct test).
-    """
-    if psi.num_sites != 3:
-        raise InvalidInputError("eof_product_test is defined for three-site states")
-    return tau_indicator(psi, MeasureSpec.eof()).value < tol

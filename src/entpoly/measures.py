@@ -7,21 +7,25 @@ generalization sqrt(2 (1 - sum w^2)) = 2 sqrt(sum_{i<j} w_i w_j), and
 negativity, (trace_norm(partial transpose) - 1) / 2, equals
 ((sum sqrt(w))^2 - 1) / 2 (Vidal and Werner, PRA 65, 032314).
 
-:class:`MeasureSpec` validates, parses and labels through ``_MEASURE_TABLE``
-alone: each token's entropy kind, parameter names and parameter domain.
-:func:`cut_values` evaluates pure states a (T, D) block at a time; the
-scalar functions are one-row calls of it.
+``_MEASURE_TABLE`` is the one description of a measure: each token's row
+holds its spectrum functional, parameter names and parameter domain.
+:class:`MeasureSpec` validates, parses and labels through that row, and
+:func:`value_from_spectrum` calls the row's functional with the spec's
+parameters.  :func:`cut_values` evaluates pure states a (T, D) block at a
+time; the scalar functions are one-row calls of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .entropies import EntropyParams, _value
+from .entropies import (
+    _value, fq_from_spectrum, renyi_from_spectrum, tsallis_from_spectrum, unified_from_spectrum,
+    von_neumann_from_spectrum)
 from .errors import InvalidInputError, UnsupportedMeasureError
 from .states import MultiQuditState, NetworkState
 from .tensor import _cut_spectrum, _pure_block, as_dims, as_int, as_sites
@@ -41,32 +45,34 @@ def _negativity_from_spectrum(w):
 
 
 class _MeasureRow(NamedTuple):
-    entropy: str | None            # EntropyParams kind, None if not entropy-based
+    functional: Callable           # the measure of a spectrum w, called as functional(w, *params)
     params: tuple[str, ...]        # parameter names, in q, r, s order
     message: str                   # raised on a missing, extra or invalid parameter
     domain: Callable[..., bool] = lambda: True  # true on valid (finite) parameter values
-    functional: Callable | None = None  # measure of w when not entropy-based
+    entropy_based: bool = True     # an entropy of the reduced state, defined on mixed networks
 
 
+# Each domain lies inside its functional's own domain, which the functional checks.
 _MEASURE_TABLE = {
-    "qconc": _MeasureRow("fq", ("q",), "qconc takes exactly one finite q >= 2 (flag --q)",
+    "qconc": _MeasureRow(fq_from_spectrum, ("q",),
+                         "qconc takes exactly one finite q >= 2 (flag --q)",
                          lambda q: 2 <= q < math.inf),
-    "unified": _MeasureRow("unified", ("r", "s"),
+    "unified": _MeasureRow(unified_from_spectrum, ("r", "s"),
                            "unified takes exactly a finite r >= 1 and s >= 0 (flags --r --s)",
                            lambda r, s: 1 <= r < math.inf and 0 <= s < math.inf),
-    "renyi": _MeasureRow("renyi", ("r",),
+    "renyi": _MeasureRow(renyi_from_spectrum, ("r",),
                          "renyi takes exactly one finite r >= 0, r != 1 (flag --r)",
                          lambda r: 0 <= r < math.inf and abs(r - 1.0) > LIMIT_TOL),
-    "tsallis": _MeasureRow("tsallis", ("r",), "tsallis takes exactly one finite r > 1 (flag --r)",
+    "tsallis": _MeasureRow(tsallis_from_spectrum, ("r",),
+                           "tsallis takes exactly one finite r > 1 (flag --r)",
                            lambda r: 1 < r < math.inf),
-    "eof": _MeasureRow("vn", (), "eof takes no parameters"),
-    "conc": _MeasureRow(None, (), "conc takes no parameters",
-                        functional=_concurrence_from_spectrum),
-    "neg": _MeasureRow(None, (), "neg takes no parameters",
-                       functional=_negativity_from_spectrum),
+    "eof": _MeasureRow(von_neumann_from_spectrum, (), "eof takes no parameters"),
+    "conc": _MeasureRow(_concurrence_from_spectrum, (), "conc takes no parameters",
+                        entropy_based=False),
+    "neg": _MeasureRow(_negativity_from_spectrum, (), "neg takes no parameters",
+                       entropy_based=False),
 }
 MEASURE_TOKENS = tuple(_MEASURE_TABLE)
-ENTROPY_BASED = tuple(t for t, row in _MEASURE_TABLE.items() if row.entropy is not None)
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,6 @@ class MeasureSpec:
     q: float | None = None
     r: float | None = None
     s: float | None = None
-    _entropy: EntropyParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row = _MEASURE_TABLE.get(self.kind)
@@ -136,9 +141,6 @@ class MeasureSpec:
         given = tuple(n for n in ("q", "r", "s") if getattr(self, n) is not None)
         if given != row.params or not row.domain(*(getattr(self, n) for n in given)):
             raise InvalidInputError(row.message)
-        if row.entropy is not None:
-            object.__setattr__(self, "_entropy", EntropyParams(
-                row.entropy, **{n: getattr(self, n) for n in given}))
 
     @staticmethod
     def qconcurrence(q: float) -> "MeasureSpec":
@@ -178,12 +180,7 @@ class MeasureSpec:
 
     @property
     def is_entropy_based(self) -> bool:
-        return self._entropy is not None
-
-    def entropy_params(self) -> EntropyParams:
-        if self._entropy is None:
-            raise UnsupportedMeasureError(f"{self.kind} is not an entropy-based measure")
-        return self._entropy
+        return _MEASURE_TABLE[self.kind].entropy_based
 
     def label(self) -> str:
         args = [f"{n}={getattr(self, n):g}" for n in _MEASURE_TABLE[self.kind].params]
@@ -240,9 +237,10 @@ def value_from_spectrum(spec: MeasureSpec, w: np.ndarray):
     partial transpose is the squared sum of its Schmidt coefficients, so no
     density or partial transpose is formed.
     """
-    if spec.is_entropy_based:
-        return spec.entropy_params().of_spectrum(w)
-    return _MEASURE_TABLE[spec.kind].functional(w)
+    row = _MEASURE_TABLE[spec.kind]
+    if row.params:  # a token without parameters builds no empty argument list
+        return row.functional(w, *[getattr(spec, n) for n in row.params])
+    return row.functional(w)
 
 
 def measure_pure(psi: MultiQuditState, cut: Bipartition, spec: MeasureSpec) -> float:
@@ -277,7 +275,7 @@ def measure_network(net: NetworkState, party_cut: Bipartition, spec: MeasureSpec
             f"{spec.kind} on a (generally mixed) network state needs a convex roof; "
             "only entropy-based measures are supported")
     party_cut.validate_for(net.num_parties)
-    return spec.entropy_params().of_spectrum(net.spectrum(party_cut.side_a))
+    return value_from_spectrum(spec, net.spectrum(party_cut.side_a))
 
 
 def network_marginal_vector(net: NetworkState, spec: MeasureSpec) -> np.ndarray:

@@ -29,6 +29,7 @@ from .measures import (
     measure_pure,
     network_marginal_vector,
     total_entanglement,
+    value_from_spectrum,
 )
 from .search import SearchConfig, _run_chunk, grid_scan, mix64
 from .states import (
@@ -40,6 +41,7 @@ from .states import (
     star4,
     w_qutrit,
 )
+from .tensor import as_int
 from .tolerances import LIMIT_TOL, LOG_EPS
 
 TARGETS = ("example1", "example2", "example3", "example4", "example5", "example6",
@@ -103,6 +105,7 @@ def _ghzg_lams(theta: float, phi: float) -> tuple[float, float, float]:
 
 def example1(grid: int = 5, **_):
     """Three-qutrit angle family: EOF marginals and the vanishing points."""
+    grid = as_int(grid, "grid")
     if grid < 1:
         raise InvalidInputError(f"grid must be >= 1, got {grid}")
     sheet = _Sheet()
@@ -157,14 +160,14 @@ def example2(q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
 def example3(d: int = 3, m: int = 3, q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
     """Cat states: every marginal is maximally mixed, indicators scale with m-2."""
     sheet = _Sheet()
-    psi = ghz(int(d), int(m))
+    psi = ghz(d, m)
     qspec = MeasureSpec.qconcurrence(q)
     uspec = MeasureSpec.unified(r, s)
-    closed_q = _closed_uniform(qspec, int(d))
-    closed_u = _closed_uniform(uspec, int(d))
+    closed_q = _closed_uniform(qspec, d)
+    closed_u = _closed_uniform(uspec, d)
     mv_q = marginal_vector(psi, qspec)
     mv_u = marginal_vector(psi, uspec)
-    for j in range(int(m)):
+    for j in range(m):
         sheet.add(f"qconc[site={j}]", closed_q, float(mv_q[j]))
         sheet.add(f"unified[site={j}]", closed_u, float(mv_u[j]))
     sheet.add("total_qconc", m * closed_q, total_entanglement(mv_q))
@@ -186,14 +189,14 @@ def example4(n: int = 3, q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
     makes the additive form an upper bound on the joint one, so both satisfy
     the polygon inequality.
     """
-    n = int(n)
+    n = as_int(n, "n")
     if n < 2:
         raise InvalidInputError("the complete-graph scenario needs n >= 2")
     sheet = _Sheet()
     net = compose_network(_complete_graph(n))
     half = Resource.epr(0, 1).spectrum((True, False))  # one party's half of a pair
     for spec in (MeasureSpec.qconcurrence(q), MeasureSpec.unified(r, s)):
-        per_pair = [spec.entropy_params().of_spectrum(half) for _pair in range(n - 1)]
+        per_pair = [value_from_spectrum(spec, half) for _pair in range(n - 1)]
         sheet.add(f"additive_marginal[{spec.kind}]",
                   (n - 1) * _closed_uniform(spec, 2), float(sum(per_pair)))
         mv = network_marginal_vector(net, spec)
@@ -279,7 +282,7 @@ def _scan_target(family, grid, spec, closed, header):
     rows = []
     max_diff = 0.0
     min_value = math.inf
-    for a, b, value in grid_scan(family, int(grid), spec):
+    for a, b, value in grid_scan(family, grid, spec):
         max_diff = max(max_diff, abs(value - closed(a, b)))
         min_value = min(min_value, value)
         rows.append([_fmt(a), _fmt(b), _fmt(value)])

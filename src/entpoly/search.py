@@ -23,7 +23,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def mix64(seed: int, index: int) -> int:
     with finalize(z): z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
     """
-    z = (int(seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (as_int(seed, "seed") + (as_int(index, "trial index") + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -76,6 +76,7 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "dims", as_dims(self.dims))
         object.__setattr__(self, "trials", as_int(self.trials, "trials"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         object.__setattr__(self, "record_worst", as_int(self.record_worst, "record_worst"))
         if len(self.dims) < 2:
             raise InvalidInputError("a search needs at least 2 sites")
@@ -202,27 +203,8 @@ def recompute_margin(entry: WorstState, spec: MeasureSpec) -> float:
     return float(polygon_margins(psi.amplitudes[None], psi.dims, spec)[0, entry.site])
 
 
-def report_to_dict(report: ViolationReport) -> dict:
-    return {
-        "dims": list(report.dims),
-        "measure": report.measure,
-        "trials_run": report.trials_run,
-        "seed": report.seed,
-        "tol": report.tol,
-        "violations": report.violations,
-        "min_margin": report.min_margin,
-        "worst_states": [
-            {"trial": w.trial, "seed": w.seed, "site": w.site,
-             "margin": w.margin, "state": w.state}
-            for w in report.worst_states
-        ],
-        "histogram": list(report.histogram),
-        "histogram_range": list(report.histogram_range),
-    }
-
-
 def report_to_json(report: ViolationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def report_from_dict(doc: dict) -> ViolationReport:

@@ -102,8 +102,8 @@ def angle_rows(family: str, points) -> np.ndarray:
     """
     dims, cols = ANGLE_FAMILIES[family]
     rows = np.zeros((len(points), math.prod(dims)), dtype=np.complex128)
-    rows[:, cols] = [(math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
-                      math.cos(theta)) for theta, phi in points]
+    rows[:, cols] = np.reshape([(math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                                 math.cos(theta)) for theta, phi in points], (-1, 3))
     return rows / _norms(rows)[:, None]
 
 
@@ -153,7 +153,7 @@ def haar_random(dims, seed: int) -> MultiQuditState:
     independent for fuzzing purposes.
     """
     dims = as_dims(dims)
-    return MultiQuditState(dims, _haar_draws((seed,), math.prod(dims))[0])
+    return MultiQuditState(dims, _haar_draws((as_int(seed, "seed"),), math.prod(dims))[0])
 
 
 def _haar_draws(seeds, size: int) -> np.ndarray:

@@ -191,20 +191,6 @@ def partial_transpose(rho, dims, subset) -> np.ndarray:
     return a.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
-def trace_power(rho, q) -> float:
-    """Tr(rho^q) by repeated matrix multiplication, for integer q >= 2.
-
-    The input must be Hermitian; positive semidefiniteness is assumed, not
-    checked (use the eigenvalue path for untrusted input).
-    """
-    if int(q) != q or q < 2:
-        raise InvalidInputError(f"trace_power requires an integer q >= 2, got {q!r}")
-    a = _square(rho)
-    if not is_hermitian(a):
-        raise InvalidInputError("trace_power requires a Hermitian matrix")
-    return float(np.trace(np.linalg.matrix_power(a, int(q))).real)
-
-
 def _hermitian(h) -> np.ndarray:
     a = _square(h)
     if not is_hermitian(a):

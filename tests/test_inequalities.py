@@ -11,8 +11,9 @@ from entpoly.inequalities import (
     bipartition_bounds,
     bipartition_check,
     default_tau_hat_cuts,
-    eof_product_test,
     polygon_check,
+    polygon_margins,
+    polygon_slack,
     product_structure_oracle,
     renyi_mixed_bounds,
     renyi_mixed_check,
@@ -66,6 +67,16 @@ def test_polygon_check_arithmetic():
         polygon_check([0.5], 1)
     with pytest.raises(InvalidInputError):
         polygon_check([], 0)
+
+
+def test_polygon_check_margin_is_the_polygon_slack():
+    # sum - 2 mv[j] and (sum - mv[j]) - mv[j] round apart on this state and site
+    psi = haar_random((3, 2, 2, 3), 0)
+    mv = marginal_vector(psi, MeasureSpec.eof())
+    res = polygon_check(mv, 2)
+    assert res.rhs - res.lhs != polygon_slack(mv)[2]
+    assert res.margin == polygon_slack(mv)[2] == polygon_margins(
+        psi.amplitudes[None], psi.dims, MeasureSpec.eof())[0, 2]
 
 
 def test_polygon_check_star4_vector():
@@ -293,14 +304,16 @@ def test_tau_hat_explicit_cuts_and_argmin():
         tau_hat_indicator(star4(), [], MeasureSpec.qconcurrence(2))
 
 
+def _eof_vanishes(psi):
+    return tau_indicator(psi, MeasureSpec.eof()).value < DEFAULT_TOL
+
+
 def test_eof_product_test_cases():
-    assert eof_product_test(generalized_ghz3(math.pi, 0.7))
-    assert not eof_product_test(generalized_ghz3(math.pi / 2, math.pi / 4))
+    assert _eof_vanishes(generalized_ghz3(math.pi, 0.7))
+    assert not _eof_vanishes(generalized_ghz3(math.pi / 2, math.pi / 4))
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[3] = 1 / math.sqrt(2)   # |0> x EPR
-    assert eof_product_test(from_amplitudes((2, 2, 2), amps))
-    with pytest.raises(InvalidInputError):
-        eof_product_test(haar_random((2, 2), 0))
+    assert _eof_vanishes(from_amplitudes((2, 2, 2), amps))
 
 
 def test_eof_product_test_agrees_with_oracle():
@@ -308,11 +321,11 @@ def test_eof_product_test_agrees_with_oracle():
     for seed in range(500):
         psi = product_state((3, 3, 3), patterns[seed % 4], seed)
         assert product_structure_oracle(psi)
-        assert eof_product_test(psi)
+        assert _eof_vanishes(psi)
     for seed in range(500):
         psi = haar_random((3, 3, 3), seed)
-        assert eof_product_test(psi) == product_structure_oracle(psi)
-        assert not eof_product_test(psi)
+        assert _eof_vanishes(psi) == product_structure_oracle(psi)
+        assert not _eof_vanishes(psi)
 
 
 def test_polygon_fuzz_small_heterogeneous():

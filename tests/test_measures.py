@@ -418,4 +418,4 @@ def test_factored_network_spectrum_matches_dense_oracle(net):
             cut = Bipartition.of(side, n)
             for spec in NETWORK_SPECS:
                 assert abs(measure_network(net, cut, spec)
-                           - spec.entropy_params().of_spectrum(dense)) < 1e-12, spec
+                           - value_from_spectrum(spec, dense)) < 1e-12, spec

@@ -118,6 +118,7 @@ def test_angle_rows_match_written_out_amplitudes(family, dims, indices):
     points = [(theta, phi) for theta in thetas for phi in phis]
     rows = angle_rows(family, points)
     assert rows.shape == (len(points), math.prod(dims))
+    assert angle_rows(family, []).shape == (0, math.prod(dims))
     for row, (theta, phi) in zip(rows, points):
         want = np.zeros(math.prod(dims), dtype=np.complex128)
         want[list(indices)] = [math.sin(theta) * math.cos(phi),

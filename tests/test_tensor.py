@@ -5,7 +5,8 @@ import pytest
 
 from entpoly.errors import InvalidInputError
 from entpoly.measures import Bipartition, MeasureSpec
-from entpoly.search import SearchConfig, fuzz_polygon, grid_scan
+from entpoly.reproduce import run_target
+from entpoly.search import SearchConfig, fuzz_polygon, grid_scan, mix64
 from entpoly.states import (
     MultiQuditState, NetworkSpec, Resource, from_amplitudes, ghz, haar_random, star4)
 from entpoly.tensor import (
@@ -18,7 +19,6 @@ from entpoly.tensor import (
     partial_trace,
     partial_transpose,
     reduced_of_pure,
-    trace_power,
 )
 
 
@@ -171,25 +171,6 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues(bad)
 
 
-def test_trace_power_simple_and_oracle():
-    assert abs(trace_power(np.eye(3) / 3, 2) - 1 / 3) < 1e-15
-    proj = np.diag([1.0, 0.0, 0.0])
-    for q in (2, 3, 7):
-        assert abs(trace_power(proj, q) - 1.0) < 1e-15
-    rng = np.random.default_rng(9)
-    rho = random_density(6, rng)
-    vals = hermitian_eigenvalues(rho)
-    for q in (2, 3, 4):
-        assert abs(trace_power(rho, q) - np.sum(vals**q)) < 1e-10
-
-
-def test_trace_power_rejects_bad_exponent():
-    with pytest.raises(InvalidInputError):
-        trace_power(np.eye(2) / 2, 1)
-    with pytest.raises(InvalidInputError):
-        trace_power(np.eye(2) / 2, 2.5)
-
-
 def test_partial_transpose_product_state():
     rng = np.random.default_rng(10)
     a, b = random_density(2, rng), random_density(3, rng)
@@ -235,6 +216,16 @@ INTEGER_ENTRY_POINTS = {
     "grid_scan": lambda x: grid_scan("w_interp", (x, 2), _EOF),
     "Resource": lambda x: Resource.ghz(x, (0, 1)),
     "NetworkSpec": lambda x: NetworkSpec(x, (Resource.epr(0, 1),)),
+    "haar_random_seed": lambda x: haar_random((2, 2), x),
+    "mix64_seed": lambda x: mix64(x, 0),
+    "SearchConfig_seed": lambda x: SearchConfig(dims=(2, 2), spec=_EOF, trials=2, seed=x),
+    "example1_grid": lambda x: run_target("example1", grid=x),
+    "example3_d": lambda x: run_target("example3", d=x),
+    "example3_m": lambda x: run_target("example3", m=x),
+    "example4_n": lambda x: run_target("example4", n=x),
+    "fig4a_grid": lambda x: run_target("fig4a", grid=x),
+    "table1_trials": lambda x: run_target("table1", trials=x),
+    "table1_seed": lambda x: run_target("table1", trials=1, seed=x),
 }
 
 
