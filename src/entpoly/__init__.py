@@ -72,7 +72,6 @@ from .tensor import (
     kron,
     partial_trace,
     partial_transpose,
-    reduced_of_pure,
     schmidt_spectrum,
 )
 

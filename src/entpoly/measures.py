@@ -264,8 +264,8 @@ def measure_network(net: NetworkState, party_cut: Bipartition, spec: MeasureSpec
     """Entropy-based measure of a network state across a cut over parties.
 
     Evaluates the entropy of the spectrum of the reduction onto the
-    ``side_a`` parties, which :meth:`NetworkState.spectrum` takes as a product
-    of per-resource spectra without forming a density.  For product networks
+    ``side_a`` parties, which :meth:`NetworkState.spectrum` takes from the
+    product of per-resource ranks without forming a density.  For product networks
     this is the marginal quantity the polygon inequalities constrain; on pure
     networks it agrees with :func:`measure_pure`.  Concurrence and negativity
     would need a convex roof on mixed networks and are rejected.

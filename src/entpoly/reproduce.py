@@ -25,6 +25,7 @@ from .inequalities import (
 from .measures import (
     Bipartition,
     MeasureSpec,
+    cut_values,
     marginal_vector,
     measure_pure,
     network_marginal_vector,
@@ -35,13 +36,13 @@ from .search import SearchConfig, _run_chunk, grid_scan, mix64
 from .states import (
     NetworkSpec,
     Resource,
+    angle_rows,
     compose_network,
-    generalized_ghz3,
     ghz,
     star4,
     w_qutrit,
 )
-from .tensor import as_int
+from .tensor import MAX_STATE_DIM, as_int
 from .tolerances import LIMIT_TOL, LOG_EPS
 
 TARGETS = ("example1", "example2", "example3", "example4", "example5", "example6",
@@ -109,23 +110,22 @@ def example1(grid: int = 5, **_):
     if grid < 1:
         raise InvalidInputError(f"grid must be >= 1, got {grid}")
     sheet = _Sheet()
-    eof = MeasureSpec.eof()
-    for theta in np.linspace(0.0, math.pi, grid):
-        for phi in np.linspace(0.0, 2.0 * math.pi, grid):
-            psi = generalized_ghz3(float(theta), float(phi))
-            closed = _vn_bits(_ghzg_lams(float(theta), float(phi)))
-            for i in range(3):
-                sheet.add(
-                    f"eof[theta={theta:.6f},phi={phi:.6f},cut={i}]",
-                    closed,
-                    measure_pure(psi, Bipartition.one_vs_rest(i, 3), eof))
-    zero_points = [(math.pi, 0.3)] + [
-        (math.pi / 2, f * math.pi) for f in (0.5, 1.0, 1.5, 2.0)]
-    for theta, phi in zero_points:
-        tau = tau_indicator(generalized_ghz3(theta, phi), eof).value
-        sheet.add(f"tau_eof[theta={theta:.6f},phi={phi:.6f}]", 0.0, tau)
-    entangled = tau_indicator(generalized_ghz3(math.pi / 2, math.pi / 4), eof).value
-    footer = [f"# tau_eof_at_pi2_pi4 = {_fmt(entangled)}"]
+    eof, dims, sites = [MeasureSpec.eof()], (3, 3, 3), [(0,), (1,), (2,)]
+    points = [(float(theta), float(phi)) for theta in np.linspace(0.0, math.pi, grid)
+              for phi in np.linspace(0.0, 2.0 * math.pi, grid)]
+    values = cut_values(angle_rows("generalized_ghz3", points), dims, eof, sites)[:, 0]
+    for (theta, phi), row in zip(points, values):
+        closed = _vn_bits(_ghzg_lams(theta, phi))
+        for i in range(3):
+            sheet.add(f"eof[theta={theta:.6f},phi={phi:.6f},cut={i}]", closed, float(row[i]))
+    # five vanishing points, then the entangled point pi/2, pi/4
+    tau_points = [(math.pi, 0.3)] + [
+        (math.pi / 2, f * math.pi) for f in (0.5, 1.0, 1.5, 2.0, 0.25)]
+    tau_rows = angle_rows("generalized_ghz3", tau_points)
+    taus = polygon_slack(cut_values(tau_rows, dims, eof, sites)[:, 0]).min(axis=-1)
+    for (theta, phi), tau in zip(tau_points[:-1], taus):
+        sheet.add(f"tau_eof[theta={theta:.6f},phi={phi:.6f}]", 0.0, float(tau))
+    footer = [f"# tau_eof_at_pi2_pi4 = {_fmt(float(taus[-1]))}"]
     return sheet.result(footer)
 
 
@@ -192,9 +192,13 @@ def example4(n: int = 3, q: float = 2.0, r: float = 2.0, s: float = 1.0, **_):
     n = as_int(n, "n")
     if n < 2:
         raise InvalidInputError("the complete-graph scenario needs n >= 2")
+    if n - 1 >= MAX_STATE_DIM.bit_length():  # 2^(n-1) > MAX_STATE_DIM, without forming 2^(n-1)
+        raise InvalidInputError(
+            f"example4 needs n <= {MAX_STATE_DIM.bit_length()}: each party's reduced state "
+            f"has rank 2^(n-1), above MAX_STATE_DIM ({MAX_STATE_DIM}) for n = {n}")
     sheet = _Sheet()
     net = compose_network(_complete_graph(n))
-    half = Resource.epr(0, 1).spectrum((True, False))  # one party's half of a pair
+    half = compose_network(_complete_graph(2)).spectrum((0,))  # one party's half of a pair
     for spec in (MeasureSpec.qconcurrence(q), MeasureSpec.unified(r, s)):
         per_pair = [value_from_spectrum(spec, half) for _pair in range(n - 1)]
         sheet.add(f"additive_marginal[{spec.kind}]",

@@ -3,9 +3,9 @@
 A pure state is a :class:`MultiQuditState`; an entanglement network built
 from two-party and multi-party resources is composed into a
 :class:`NetworkState` whose sites are grouped per party.  A network is
-stored as its resources: the spectrum of any party reduction is the product
-of small per-resource spectra, and the dense density is built only when
-accessed.
+stored as its resources: every party reduction is uniform, so it is one
+integer rank, the product of per-resource ranks.  The dense density is
+built only when accessed, as a test reference of limited size.
 
 Every pure state, however it is built, passes the one entry check of
 :mod:`~entpoly.tensor`: ``as_dims`` for its dims and ``_pure_block`` for its
@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .tensor import (
-    _norms, _pure_block, as_dims, as_int, as_sites, is_hermitian, kron, partial_trace,
-    reduced_of_pure)
+    MAX_STATE_DIM, _norms, _pure_block, as_dims, as_int, as_sites, is_hermitian, kron)
 from .tolerances import NORM_LOAD_TOL, TRACE_TOL
 
 
@@ -55,10 +54,6 @@ class MultiQuditState:
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def reduced(self, keep) -> np.ndarray:
-        """Reduced density matrix on the ``keep`` sites."""
-        return reduced_of_pure(self.amplitudes, self.dims, keep)
 
 
 def from_amplitudes(dims, amplitudes) -> MultiQuditState:
@@ -176,9 +171,8 @@ def _haar_draws(seeds, size: int) -> np.ndarray:
 # -- network composition ------------------------------------------------------
 
 RESOURCE_KINDS = ("epr", "ghz", "ghz_diag")
-# Largest total dimension accepted, so that the dense density stays buildable:
-# a 2^12 x 2^12 complex density is 256 MiB, and building it holds a few such
-# arrays at once.
+# Largest total dimension whose dense density is built: a 2^12 x 2^12 complex
+# density is 256 MiB, and building it holds a few such arrays at once.
 MAX_NETWORK_DIM = 2**12
 
 
@@ -239,21 +233,15 @@ class Resource:
             return rho
         return ghz(self.d, len(self.parties)).density()
 
-    def spectrum(self, kept) -> np.ndarray:
-        """Ascending spectrum of the resource reduced to the particles flagged in ``kept``.
+    def rank(self, kept) -> int:
+        """Rank of the resource reduced to the particles flagged in ``kept``.
 
-        ``kept`` holds one flag per particle.  A pure resource kept whole is
-        pure; every other nonempty reduction (a cut GHZ state, either part of
-        a GHZ-diagonal pair) is uniform of rank d.  Zero-padded to the kept
-        dimension; keeping nothing gives ``[1]``.
+        ``kept`` holds one flag per particle.  Keeping nothing, or a pure
+        resource whole, gives rank 1; every other reduction (a cut GHZ state,
+        either part of a GHZ-diagonal pair) is uniform of rank d.
         """
         k = sum(kept)
-        if k == 0:
-            return np.ones(1)
-        rank = 1 if self.kind != "ghz_diag" and k == len(self.parties) else self.d
-        w = np.zeros(self.d**k)
-        w[-rank:] = 1.0 / rank
-        return w
+        return 1 if k == 0 or (self.kind != "ghz_diag" and k == len(self.parties)) else self.d
 
 
 @dataclass(frozen=True)
@@ -285,7 +273,7 @@ class NetworkState:
 
     ``owners`` is the owning party of each particle in resource declaration
     order, and ``party_dims`` the composite dimension of each party.  No
-    density is stored: :meth:`spectrum` multiplies per-resource spectra.  The
+    density is stored: :meth:`spectrum` multiplies per-resource ranks.  The
     dense :attr:`density` is built on first access; no measure uses it.
     Built by :func:`compose_network`, which validates the spec.
     """
@@ -299,17 +287,20 @@ class NetworkState:
         return len(self.party_dims)
 
     def spectrum(self, parties) -> np.ndarray:
-        """Ascending spectrum of the reduced state on ``parties``, zero-padded to its dimension.
+        """Nonzero spectrum of the reduced state on ``parties``: R entries of 1/R.
 
         The reduction of a product of resources is the product of each
-        resource's reduction on its kept particles, so its spectrum is the
-        product of their spectra; no density is formed.
+        resource's reduction on its kept particles.  Each is uniform, so the
+        product is uniform of rank R, the product of their ranks; no density
+        is formed.  A rank above ``MAX_STATE_DIM`` is refused.
         """
         keep = as_sites(parties, self.num_parties)
-        w = np.ones(1)
-        for res in self.spec.resources:
-            w = np.multiply.outer(w, res.spectrum([p in keep for p in res.parties])).ravel()
-        return np.sort(w)
+        rank = math.prod(res.rank([p in keep for p in res.parties]) for res in self.spec.resources)
+        if rank > MAX_STATE_DIM:
+            raise InvalidInputError(
+                f"the reduction on parties {list(keep)} has rank at least "
+                f"2^{rank.bit_length() - 1}, above MAX_STATE_DIM ({MAX_STATE_DIM})")
+        return np.full(rank, 1.0 / rank)
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -317,13 +308,20 @@ class NetworkState:
 
         Particles keep their resource declaration order within a party.  Built
         once, on first access: the reference the factored :meth:`spectrum` is
-        tested against.
+        tested against.  A total dimension above ``MAX_NETWORK_DIM`` is
+        refused before anything is allocated.
         """
-        dims = [d for res in self.spec.resources for d in res.site_dims()]
+        d = math.prod(self.party_dims)
+        if d > MAX_NETWORK_DIM:
+            log2 = d.bit_length() - 1
+            raise InvalidInputError(
+                f"network total dimension 2^{log2} or more exceeds the dense limit "
+                f"{MAX_NETWORK_DIM}: its density alone would take at least 2^{2 * log2 - 16} MiB")
+        dims = [dim for res in self.spec.resources for dim in res.site_dims()]
         rho = np.ones((1, 1), dtype=np.complex128)
         for res in self.spec.resources:
             rho = kron(rho, res.density())
-        n, d = len(dims), rho.shape[0]
+        n = len(dims)
         # stable sort: per-party site order follows resource declaration order
         perm = sorted(range(n), key=lambda k: self.owners[k])
         rho = rho.reshape(tuple(dims) * 2)
@@ -337,18 +335,13 @@ class NetworkState:
         rho.flags.writeable = False
         return rho
 
-    def reduced(self, keep_parties) -> np.ndarray:
-        """Dense reduced density on ``keep_parties`` (builds :attr:`density`)."""
-        return partial_trace(self.density, self.party_dims, keep_parties)
-
 
 def compose_network(spec: NetworkSpec) -> NetworkState:
     """Group the particles of all resources by owning party, without forming a density.
 
     Party p's composite site is its particles in resource declaration order;
     ``party_dims`` records the resulting composite dimension per party.  Every
-    party must hold at least one particle, and the total dimension may not
-    exceed ``MAX_NETWORK_DIM``.
+    party must hold at least one particle.
     """
     if not isinstance(spec, NetworkSpec):
         raise InvalidInputError(f"expected a NetworkSpec, got {spec!r}")
@@ -357,11 +350,6 @@ def compose_network(spec: NetworkSpec) -> NetworkState:
     for p in range(spec.parties):
         if p not in owners:
             raise InvalidInputError(f"party {p} holds no particle")
-    d = math.prod(dims)
-    if d > MAX_NETWORK_DIM:
-        raise InvalidInputError(
-            f"network total dimension {d} exceeds the dense limit {MAX_NETWORK_DIM}: "
-            f"its density alone would take {16 * d * d / 2**30:.3g} GiB")
     party_dims = tuple(math.prod(dims[k] for k in range(len(dims)) if owners[k] == p)
                        for p in range(spec.parties))
     return NetworkState(spec, party_dims, owners)

@@ -1,8 +1,14 @@
-"""Dense complex linear algebra for heterogeneous multi-qudit systems.
+"""Linear algebra for heterogeneous multi-qudit systems.
 
 Sites are numbered left to right; site 0 is the leftmost (most significant)
 tensor factor in the row-major flattening of state vectors and operators.
 All functions are pure and never mutate their arguments.
+
+A pure state is reduced only to its spectrum, by :func:`schmidt_spectrum`
+(one SVD across the cut); no reduced density matrix is formed.  The dense
+operators :func:`kron`, :func:`partial_trace` and :func:`partial_transpose`
+build and reduce explicit density matrices: the references the spectral
+path is tested against.
 
 Every pure-state input passes one entry check: :func:`as_int` is the only
 integer rule (dims, site indices, counts), :func:`as_dims` the only dims
@@ -132,33 +138,18 @@ def _pure_block(amplitudes, dims, tol: float = NORM_TOL) -> np.ndarray:
     return v
 
 
-def _cut_matrix(v, dims, keep) -> np.ndarray:
-    # validated amplitudes reshaped to (kept dimension, traced dimension), per row
+def _cut_spectrum(v, dims, keep) -> np.ndarray:
+    # ascending squared singular values of each row of validated amplitudes
+    # reshaped to (kept dimension, traced dimension), zero-padded
     traced = tuple(j for j in range(len(dims)) if j not in keep)
     dk = math.prod(dims[j] for j in keep)
     batch = v.shape[:-1]
     axes = tuple(range(len(batch))) + tuple(len(batch) + j for j in keep + traced)
-    return v.reshape(batch + dims).transpose(axes).reshape(batch + (dk, -1))
-
-
-def _cut_spectrum(v, dims, keep) -> np.ndarray:
-    # ascending squared singular values of each row's cut matrix, zero-padded
-    m = _cut_matrix(v, dims, keep)
+    m = v.reshape(batch + dims).transpose(axes).reshape(batch + (dk, -1))
     sv = np.linalg.svd(m, compute_uv=False)
     w = np.zeros(m.shape[:-1])
     w[..., m.shape[-2] - sv.shape[-1]:] = np.square(sv[..., ::-1])
     return w
-
-
-def reduced_of_pure(amplitudes, dims, keep) -> np.ndarray:
-    """Reduced density matrix of a pure state on the ``keep`` sites.
-
-    Equivalent to ``partial_trace(outer(psi), dims, keep)`` but never forms
-    the full projector; cost is quadratic in the kept dimension only.
-    """
-    dims = as_dims(dims)
-    m = _cut_matrix(_pure_block(np.ravel(amplitudes), dims), dims, as_sites(keep, len(dims)))
-    return m @ m.conj().T
 
 
 def schmidt_spectrum(amplitudes, dims, keep) -> np.ndarray:
@@ -166,9 +157,9 @@ def schmidt_spectrum(amplitudes, dims, keep) -> np.ndarray:
 
     The squared singular values of the amplitudes reshaped across the cut
     (the squared Schmidt coefficients), zero-padded to the kept dimension.
-    Same validation as :func:`reduced_of_pure`, but no density is formed, and
-    small eigenvalues keep their accuracy (a singular value of 1e-10 squares
-    to 1e-20, where an eigensolver of the reduced state returns roundoff).
+    No density is formed, and small eigenvalues keep their accuracy (a
+    singular value of 1e-10 squares to 1e-20, where an eigensolver of the
+    reduced state returns roundoff).
 
     A 2-D ``amplitudes`` is a batch of T state vectors, one per row: every
     row is validated, one batched SVD runs, and row t of the (T, kept) result

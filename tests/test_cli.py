@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -238,10 +239,21 @@ def test_reproduce_table1_deterministic(capsys):
 
 
 def test_reproduce_oversized_network_exits_2(capsys):
-    code, out, err = run(capsys, "reproduce", "example4", "--n", "5")
-    assert code == 2
-    assert out == ""
-    assert "dense limit" in err
+    # 2^(n-1) > MAX_STATE_DIM is refused before the graph's n(n-1)/2 pairs are built
+    for n in ("26", "121", "1000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reproduce", "example4", "--n", n)
+        assert time.perf_counter() - start < 1.0, n
+        assert code == 2 and out == "", n
+        assert "MAX_STATE_DIM" in err and f"n = {n}" in err
+
+
+def test_reproduce_example4_beyond_the_dense_limit(capsys):
+    # total dimension 2^20 and 2^132: each party's marginal is uniform of rank 2^(n-1)
+    for n in ("5", "12"):
+        code, out, _ = run(capsys, "reproduce", "example4", "--n", n)
+        assert code == 0, n
+        assert "# max_abs_diff = 0" in out.splitlines(), n
 
 
 @pytest.mark.parametrize("target, grid", [

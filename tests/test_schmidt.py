@@ -17,7 +17,7 @@ from entpoly.measures import (
     value_from_spectrum,
 )
 from entpoly.states import MultiQuditState, haar_random
-from entpoly.tensor import partial_transpose, reduced_of_pure, schmidt_spectrum
+from entpoly.tensor import partial_trace, partial_transpose, schmidt_spectrum
 
 SPECS = [
     MeasureSpec.qconcurrence(2), MeasureSpec.qconcurrence(3.5),
@@ -77,7 +77,7 @@ def test_spectrum_matches_reduced_state_and_other_side(dims, seed, family):
         assert wa.size == math.prod(dims[j] for j in side_a)
         assert np.all(wa >= 0.0) and np.all(np.diff(wa) >= 0.0)
         np.testing.assert_allclose(
-            wa, np.linalg.eigvalsh(reduced_of_pure(psi.amplitudes, dims, side_a)),
+            wa, np.linalg.eigvalsh(partial_trace(psi.density(), dims, side_a)),
             atol=1e-12)
         k = min(wa.size, wb.size)
         # the nonzero part is shared; the padding of the larger side is exact zeros
@@ -151,6 +151,5 @@ def test_validates_like_reduced_of_pure():
                  (np.ones(3) / math.sqrt(3), (2,), (0,)),  # wrong length
                  (np.array([1.0, 0.0]), (2,), (1,)),       # site out of range
                  (np.array([1.0, 0.0]), (1, 2), (0,))):    # dimension < 2
-        for fn in (schmidt_spectrum, reduced_of_pure):
-            with pytest.raises(InvalidInputError):
-                fn(*args)
+        with pytest.raises(InvalidInputError):
+            schmidt_spectrum(*args)

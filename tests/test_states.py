@@ -27,7 +27,11 @@ from entpoly.states import (
     w_qutrit,
 )
 from entpoly.search import _w_interp_state
-from entpoly.tensor import hermitian_eigenvalues, kron, partial_trace, reduced_of_pure
+from entpoly.tensor import hermitian_eigenvalues, kron, partial_trace
+
+
+def reduced(psi, keep):
+    return partial_trace(psi.density(), psi.dims, keep)
 
 
 def test_from_amplitudes_basic():
@@ -68,7 +72,7 @@ def test_ghz_construction():
     np.testing.assert_allclose(ghz(2, 2).amplitudes, epr().amplitudes, atol=0)
     g = ghz(3, 3)
     for j in range(3):
-        np.testing.assert_allclose(g.reduced((j,)), np.eye(3) / 3, atol=1e-15)
+        np.testing.assert_allclose(reduced(g, (j,)), np.eye(3) / 3, atol=1e-15)
     with pytest.raises(InvalidInputError):
         ghz(1, 3)
     with pytest.raises(InvalidInputError):
@@ -98,13 +102,13 @@ def test_generalized_ghz3_marginal_eigenvalues_on_angle_grid():
                 math.cos(theta) ** 2,
             ])
             psi = generalized_ghz3(float(theta), float(phi))
-            got = hermitian_eigenvalues(psi.reduced((0,)))
+            got = hermitian_eigenvalues(reduced(psi, (0,)))
             np.testing.assert_allclose(got, lams, atol=1e-12)
 
 
 def test_generalized_ghz3_half_angle_marginals():
     psi = generalized_ghz3(math.pi / 2, math.pi / 4)
-    vals = hermitian_eigenvalues(psi.reduced((0,)))
+    vals = hermitian_eigenvalues(reduced(psi, (0,)))
     np.testing.assert_allclose(vals, [0.0, 0.5, 0.5], atol=1e-12)
 
 
@@ -134,7 +138,7 @@ def test_angle_rows_match_written_out_amplitudes(family, dims, indices):
 def test_w_qutrit_marginals():
     w = w_qutrit()
     for j in range(3):
-        vals = hermitian_eigenvalues(w.reduced((j,)))
+        vals = hermitian_eigenvalues(reduced(w, (j,)))
         np.testing.assert_allclose(np.sort(vals), [1 / 6, 1 / 6, 2 / 3], atol=1e-14)
         purity = float(np.sum(np.sort(vals) ** 2))
         assert abs(purity - 0.5) < 1e-14
@@ -143,8 +147,8 @@ def test_w_qutrit_marginals():
 def test_star4_structure():
     s = star4()
     assert s.dims == (8, 2, 2, 2)
-    np.testing.assert_allclose(s.reduced((0,)), np.eye(8) / 8, atol=1e-14)
-    np.testing.assert_allclose(s.reduced((1,)), np.eye(2) / 2, atol=1e-14)
+    np.testing.assert_allclose(reduced(s, (0,)), np.eye(8) / 8, atol=1e-14)
+    np.testing.assert_allclose(reduced(s, (1,)), np.eye(2) / 2, atol=1e-14)
 
 
 def test_haar_random_determinism_and_norm():
@@ -189,7 +193,8 @@ def test_compose_network_groups_sites_by_party():
     # party 0 holds halves of two EPRs; its reduced state is I4/4
     net = compose_network(NetworkSpec(3, (Resource.epr(0, 1), Resource.epr(0, 2))))
     assert net.party_dims == (4, 2, 2)
-    np.testing.assert_allclose(net.reduced((0,)), np.eye(4) / 4, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(net.density, net.party_dims, (0,)),
+                               np.eye(4) / 4, atol=1e-14)
 
 
 def test_compose_network_psd_and_trace():
@@ -212,8 +217,39 @@ def test_compose_network_rejects_oversized_density_before_allocating():
     # a 5-party complete EPR graph: 10 pairs of qubits, total dimension 2^20
     pairs = tuple(Resource.epr(i, j) for i in range(5) for j in range(i + 1, 5))
     assert 4 ** len(pairs) > MAX_NETWORK_DIM
-    with pytest.raises(InvalidInputError, match="dense limit"):
-        compose_network(NetworkSpec(5, pairs))
+    net = compose_network(NetworkSpec(5, pairs))
+    assert net.party_dims == (16,) * 5
+    np.testing.assert_array_equal(net.spectrum((0, 1)), np.full(64, 1 / 64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match=r"dense limit .* at least 2\^24 MiB"):
+            net.density
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "density" not in vars(net)
+
+
+def test_network_ring_beyond_the_dense_limit():
+    # 30 parties on an EPR ring: total dimension 2^60, every party holds two
+    # halves, so its marginal is I/4, where qconc(2) is 1 - 1/4
+    n = 30
+    tracemalloc.start()
+    try:
+        net = compose_network(NetworkSpec(n, tuple(Resource.epr(i, (i + 1) % n)
+                                                   for i in range(n))))
+        mv = network_marginal_vector(net, MeasureSpec.qconcurrence(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert mv.shape == (n,) and np.all(mv == 0.75)
+    assert math.prod(net.party_dims) == 2**60
+    # 15 non-adjacent parties cut 30 pairs: rank 2^30, refused before allocating
+    with pytest.raises(InvalidInputError, match=r"rank at least 2\^30, above MAX_STATE_DIM"):
+        net.spectrum(range(0, n, 2))
+    assert net.spectrum(range(n)).shape == (1,)  # the whole ring is pure
 
 
 def test_compose_network_matches_manual_kron():
@@ -303,14 +339,3 @@ def test_state_file_malformed(tmp_path):
         load_state(path)
     with pytest.raises(InvalidInputError):
         state_from_dict({"dims": [2, 2]})
-
-
-def test_reduced_consistency_with_tensor_layer():
-    psi = haar_random((2, 2, 3), 5)
-    np.testing.assert_allclose(
-        psi.reduced((0, 2)),
-        partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims, (0, 2)),
-        atol=1e-12)
-    np.testing.assert_allclose(
-        psi.reduced((1,)),
-        reduced_of_pure(psi.amplitudes, psi.dims, (1,)), atol=0)

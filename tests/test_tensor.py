@@ -18,7 +18,6 @@ from entpoly.tensor import (
     kron,
     partial_trace,
     partial_transpose,
-    reduced_of_pure,
 )
 
 
@@ -94,39 +93,13 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(4), (2, 2), (0, 2))
 
 
-def test_reduced_of_pure_known_states():
-    g = ghz(3, 3)
-    np.testing.assert_allclose(reduced_of_pure(g.amplitudes, g.dims, (0,)),
-                               np.eye(3) / 3, atol=1e-14)
-    plus = np.array([1, 1]) / np.sqrt(2)
-    psi = from_amplitudes((2, 2), np.kron([1, 0], plus))
-    np.testing.assert_allclose(reduced_of_pure(psi.amplitudes, psi.dims, (1,)),
-                               np.outer(plus, plus), atol=1e-14)
-
-
-def test_reduced_of_pure_matches_partial_trace_oracle():
-    rng = np.random.default_rng(4)
-    for dims in ((3, 3, 3), (2, 3, 4)):
-        psi = haar_random(dims, int(rng.integers(2**62)))
-        full = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        for keep in ((0,), (2,), (0, 2), (), tuple(range(len(dims)))):
-            np.testing.assert_allclose(
-                reduced_of_pure(psi.amplitudes, dims, keep),
-                partial_trace(full, dims, keep), atol=1e-12)
-
-
-def test_reduced_of_pure_rejects_unnormalized():
-    with pytest.raises(InvalidInputError):
-        reduced_of_pure(np.array([1.0, 1.0]), (2,), (0,))
-
-
 def test_schmidt_symmetry_of_reduced_spectra():
     rng = np.random.default_rng(5)
     for dims, cut in (((2, 3), (0,)), ((3, 4), (0,)), ((2, 3, 4), (1,))):
         psi = haar_random(dims, int(rng.integers(2**62)))
         rest = tuple(j for j in range(len(dims)) if j not in cut)
-        wa = hermitian_eigenvalues(reduced_of_pure(psi.amplitudes, dims, cut))
-        wb = hermitian_eigenvalues(reduced_of_pure(psi.amplitudes, dims, rest))
+        wa = hermitian_eigenvalues(partial_trace(psi.density(), dims, cut))
+        wb = hermitian_eigenvalues(partial_trace(psi.density(), dims, rest))
         wa = np.sort(wa[wa > 1e-10])[::-1]
         wb = np.sort(wb[wb > 1e-10])[::-1]
         assert wa.size == wb.size
